@@ -39,6 +39,25 @@ namespace {
 /// never escape into the ThreadPool, which would rethrow it from run().
 struct StuckShardError {};
 
+/// Lends a worker's monitor state (warm observe cache, batch buffers) to a
+/// shard monitor for one attempt and takes it back on every exit path, a
+/// watchdog abort included.
+class WorkerStateLoan {
+ public:
+  WorkerStateLoan(tls::notary::PassiveMonitor& monitor,
+                  tls::notary::PassiveMonitor::WorkerState& state)
+      : monitor_(monitor), state_(state) {
+    monitor_.swap_worker_state(state_);
+  }
+  ~WorkerStateLoan() { monitor_.swap_worker_state(state_); }
+  WorkerStateLoan(const WorkerStateLoan&) = delete;
+  WorkerStateLoan& operator=(const WorkerStateLoan&) = delete;
+
+ private:
+  tls::notary::PassiveMonitor& monitor_;
+  tls::notary::PassiveMonitor::WorkerState& state_;
+};
+
 }  // namespace
 
 void LongitudinalStudy::ensure_journal() {
@@ -83,13 +102,13 @@ tls::analysis::RecoveryReport LongitudinalStudy::recovery() const {
   return report;
 }
 
-tls::population::TrafficGenerator& LongitudinalStudy::worker_generator() {
+LongitudinalStudy::WorkerState& LongitudinalStudy::worker_state() {
   const auto id = std::this_thread::get_id();
-  const std::lock_guard<std::mutex> lock(worker_gen_mutex_);
-  auto& slot = worker_gens_[id];
+  const std::lock_guard<std::mutex> lock(worker_mutex_);
+  auto& slot = workers_[id];
   if (slot == nullptr) {
-    slot = std::make_unique<tls::population::TrafficGenerator>(*market_,
-                                                               servers_, 0);
+    slot = std::make_unique<WorkerState>(*market_, servers_,
+                                         options_.observe_cache_entries);
   }
   return *slot;
 }
@@ -103,9 +122,12 @@ std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
   // so a watchdog rerun consumes exactly the streams the discarded attempt
   // did — determinism survives the discard.
   const auto attempt = [&](bool enforce_deadline, TaskTelemetry* tel) {
+    WorkerState& worker = worker_state();
     auto mon = std::make_unique<tls::notary::PassiveMonitor>(&database_);
-    mon->set_observe_cache_capacity(options_.observe_cache_entries);
-    mon->set_fast_observe(options_.fast_observe);
+    // The worker's cache stays warm across tasks; the monitor's own cache
+    // statistics count this attempt's lookups only, so the snapshot this
+    // task journals has the same shape as a per-task cache's.
+    const WorkerStateLoan loan(*mon, worker.observe);
     if (tel != nullptr) mon->set_telemetry(&tel->registry);
     std::unique_ptr<tls::faults::FaultInjector> injector;
     if (faulty) {
@@ -118,7 +140,7 @@ std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
     // is a pure function of the models, so the stream (and every exported
     // byte) is identical to a freshly constructed generator's — but the
     // gen-cache templates compile once per worker instead of once per task.
-    tls::population::TrafficGenerator& gen = worker_generator();
+    tls::population::TrafficGenerator& gen = worker.generator;
     gen.set_gen_cache(options_.gen_cache);
     gen.reseed(tls::core::rng_stream_seed(options_.seed, lane, shard));
     const auto gen_stats_before = gen.gen_cache_stats();
@@ -394,6 +416,10 @@ void LongitudinalStudy::run() {
 void LongitudinalStudy::collect_run_metrics(const tls::core::ThreadPool& pool) {
   if (!options_.telemetry) return;
   // ---- observe-cache stat island (merged across shards by absorb) ----
+  // Hits, misses and the rest of the per-side counters depend on which
+  // tasks a worker's cache saw before, so they are schedule-derived and
+  // stay out of the deterministic digest; bypasses and uncacheable records
+  // are functions of the plan.
   const auto& cs = monitor_->observe_cache_stats();
   const auto side = [&](const char* label,
                         const tls::notary::CacheSideStats& s) {
@@ -407,7 +433,10 @@ void LongitudinalStudy::collect_run_metrics(const tls::core::ThreadPool& pool) {
         {"tls_repro_observe_cache_collisions_total", s.collisions},
     };
     for (const auto& [name, v] : counters) {
-      metrics_.counter(name, lb, "ObserveCache accounting, per side").value = v;
+      metrics_
+          .counter(name, lb, "ObserveCache accounting, per side",
+                   /*timing=*/true)
+          .value = v;
     }
   };
   side("client", cs.client);

@@ -61,18 +61,15 @@ struct StudyOptions {
   /// (it changes which rng stream feeds each connection), so changing it
   /// changes the sampled stream — changing `threads` never does.
   std::size_t shards_per_month = 8;
-  /// Per-side capacity of each shard monitor's ObserveCache (0 disables).
-  /// Cache state never changes any exported byte — only throughput.
+  /// Per-side capacity of each worker's ObserveCache (0 disables). Each
+  /// worker thread keeps one cache across its shard tasks. Cache state
+  /// never changes any exported byte — only throughput.
   std::size_t observe_cache_entries = tls::notary::ObserveCache::kDefaultCapacity;
-  /// Struct-reuse fast path for fault-free observations (see
-  /// PassiveMonitor::observe). Off forces the serialize→parse byte path;
-  /// outputs are identical either way.
-  bool fast_observe = true;
   /// Producer-side template cache (tls::population::GenCache): compiled
   /// hello wire templates + memoized negotiation plans. Off forces the
   /// build-from-scratch path; the RNG stream and every exported byte are
   /// identical either way (tested across threads and fault rates), so —
-  /// like the observe-cache knobs above — it is excluded from
+  /// like the observe-cache knob above — it is excluded from
   /// options_digest and a checkpointed run may resume with it flipped.
   bool gen_cache = true;
   /// Unified telemetry: collect the metrics registry and pipeline spans
@@ -211,14 +208,24 @@ class LongitudinalStudy {
   std::unique_ptr<RunJournal> journal_;
   std::unique_ptr<tls::faults::FaultInjector> frame_injector_;
   std::atomic<std::uint64_t> stuck_reruns_{0};
-  /// One TrafficGenerator per worker thread, reused (re-seeded) across
-  /// shard tasks so the gen-cache templates compile once per worker, not
-  /// once per task. Guarded by worker_gen_mutex_ for slot creation; each
-  /// thread only ever touches its own generator.
-  std::mutex worker_gen_mutex_;
-  std::unordered_map<std::thread::id,
-                     std::unique_ptr<tls::population::TrafficGenerator>>
-      worker_gens_;
+  /// Per-worker-thread state reused across shard tasks: the generator
+  /// (re-seeded per task) so the gen-cache templates compile once per
+  /// worker, and the monitor state each task's monitor borrows so the
+  /// observe cache stays warm. Both are pure accelerators: no exported
+  /// byte depends on which tasks a worker ran before.
+  struct WorkerState {
+    WorkerState(const tls::population::MarketModel& market,
+                const tls::servers::ServerPopulation& servers,
+                std::size_t cache_entries)
+        : generator(market, servers, 0), observe(cache_entries) {}
+    tls::population::TrafficGenerator generator;
+    tls::notary::PassiveMonitor::WorkerState observe;
+  };
+  /// Guarded by worker_mutex_ for slot creation; each thread only ever
+  /// touches its own state.
+  std::mutex worker_mutex_;
+  std::unordered_map<std::thread::id, std::unique_ptr<WorkerState>>
+      workers_;
   bool ran_ = false;
   tls::telemetry::MetricsRegistry metrics_;
   tls::telemetry::TraceRecorder trace_;
@@ -232,9 +239,9 @@ class LongitudinalStudy {
 
   /// Lazily opens (and replays) the journal; no-op without checkpoint_dir.
   void ensure_journal();
-  /// Returns this worker thread's reusable generator (created on first
-  /// use). Callers must reseed() it before generating.
-  tls::population::TrafficGenerator& worker_generator();
+  /// Returns this worker thread's reusable state (created on first use).
+  /// Callers must reseed() its generator before generating.
+  WorkerState& worker_state();
   /// One passive (month, shard) task under the watchdog; returns the
   /// shard's monitor (rerun once if the first attempt blows the deadline).
   /// `telemetry` (nullable) receives the successful attempt's metrics and

@@ -1,7 +1,6 @@
 #include "daemon/capture.hpp"
 
-#include "handshake/negotiate.hpp"
-#include "wire/server_key_exchange.hpp"
+#include "notary/monitor.hpp"
 
 namespace tls::daemon {
 
@@ -14,27 +13,8 @@ CapturePayload capture_from_event(
   if (event.sslv2) return capture;  // hello is not set for SSLv2 residue
   capture.success = event.result.success;
   capture.used_fallback = event.used_fallback;
-  if (!event.client_record.empty()) {
-    capture.client = event.client_record;
-  } else {
-    event.hello.serialize_record_into(capture.client);
-  }
-  if (event.result.server_hello.has_value()) {
-    const auto& sh = *event.result.server_hello;
-    sh.serialize_record_into(capture.server);
-    // Pre-1.3 EC handshakes carry the chosen curve in ServerKeyExchange —
-    // same condition as the monitor's serialization path.
-    if (event.result.negotiated_group != 0 &&
-        !sh.has_extension(tls::core::ExtensionType::kSupportedVersions)) {
-      tls::wire::EcdheServerKeyExchange::stub(event.result.negotiated_group)
-          .serialize_record_into(sh.legacy_version, capture.ske);
-    }
-  }
-  if (!event.result.success &&
-      event.result.failure != tls::handshake::FailureReason::kNone) {
-    tls::handshake::alert_for(event.result.failure)
-        .serialize_record_into(0x0301, capture.alert);
-  }
+  tls::notary::serialize_event_records(event, capture.client, capture.server,
+                                       capture.ske, capture.alert);
   return capture;
 }
 

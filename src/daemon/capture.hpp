@@ -1,11 +1,10 @@
 // Bridges the synthetic traffic plane to the daemon wire protocol:
 // serializes one generated ConnectionEvent into the CapturePayload a live
-// sensor would ship. The record bytes follow EXACTLY the recipe of
-// PassiveMonitor::observe's byte path (monitor.cpp) — client record from
-// the event (or re-serialized hello), ServerHello, the pre-1.3
-// ServerKeyExchange stub, and the failure alert — so a stream ingested
-// through the daemon is byte-for-byte the stream batch mode observes.
-// That equivalence is what the determinism acceptance test pins.
+// sensor would ship. The record bytes come from
+// tls::notary::serialize_event_records, the serializer batch observe uses,
+// so a stream ingested through the daemon is byte-for-byte the stream
+// batch mode observes. That equivalence is what the determinism
+// acceptance test pins.
 #pragma once
 
 #include "daemon/protocol.hpp"

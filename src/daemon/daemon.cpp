@@ -414,7 +414,11 @@ void NotaryDaemon::publish_stats_snapshot() {
 
   StatsSeqlock& s = *stats_seq_;
   const std::uint64_t seq = s.seq.load(std::memory_order_relaxed);
-  s.seq.store(seq + 1, std::memory_order_release);  // odd: write in flight
+  s.seq.store(seq + 1, std::memory_order_relaxed);  // odd: write in flight
+  // Keeps the relaxed word stores below from becoming visible before the
+  // odd sequence: a reader whose word loads see any new value then
+  // re-reads a sequence != its even s1 and retries (DESIGN.md §18).
+  std::atomic_thread_fence(std::memory_order_release);
   const std::uint64_t words[12] = {
       c.offered,        c.admitted,       c.ingested,
       c.shed,           c.malformed,      c.credit_violations,
@@ -1343,8 +1347,18 @@ void NotaryDaemon::event_loop() {
     }
   }
 
-  workers_stop_.store(true, std::memory_order_release);
-  for (auto& shard : shards_) shard->cv.notify_all();
+  // The flag is set under each shard's queue_mutex: a worker evaluates its
+  // wait predicate under that mutex, so it either sees the flag there or
+  // is already blocked in wait() when notify_all runs. Storing without the
+  // mutex could land between a worker's predicate check and its sleep,
+  // and that worker would never wake (a lost wakeup that hangs join()).
+  for (auto& shard : shards_) {
+    {
+      const std::lock_guard<std::mutex> lock(shard->queue_mutex);
+      workers_stop_.store(true, std::memory_order_release);
+    }
+    shard->cv.notify_all();
+  }
   for (auto& worker : workers_) worker.join();
   workers_.clear();
 

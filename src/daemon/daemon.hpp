@@ -2,8 +2,8 @@
 //
 // A resident process that accepts checksummed capture frames
 // (daemon/protocol.hpp) over TCP from many concurrent sensor clients and
-// feeds them through the existing PassiveMonitor + ObserveCache fast path
-// on a sharded worker pool. The batch study pipeline stays the reference
+// feeds them through the existing PassiveMonitor + ObserveCache byte path
+// (observe_wire) on a sharded worker pool. The batch study pipeline stays the reference
 // implementation; the daemon is the serving story for the ROADMAP's
 // "heavy traffic from millions of users" north star, engineered so that
 // OVERLOAD DEGRADES GRACEFULLY instead of OOMing:

@@ -139,8 +139,8 @@ class FaultInjector {
 
   /// Decision half of corrupt_capture: counts the capture and draws the
   /// capture-fault roll (exactly one uniform), applying nothing. Lets the
-  /// monitor decide *before* serializing whether this event can take the
-  /// struct fast path (kNone) while consuming the identical RNG stream.
+  /// monitor know *before* serializing whether the tap leaves this event
+  /// untouched (kNone, cacheable) while consuming the identical RNG stream.
   FaultKind roll_capture();
   /// Mutation half of corrupt_capture: applies `kind` (as returned by
   /// roll_capture) to the capture and books the stat. roll_capture followed

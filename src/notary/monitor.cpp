@@ -124,191 +124,113 @@ const MonthlyStats* PassiveMonitor::month(Month m) const {
   return it == months_.end() ? nullptr : &it->second;
 }
 
-void PassiveMonitor::observe(const tls::population::ConnectionEvent& event) {
-  if (event.sslv2) {
-    observe_sslv2(event.month);
-    return;
-  }
-  using tls::faults::FaultKind;
-  // With a chaos tap attached, draw the capture-fault roll BEFORE
-  // serializing: the roll consumes exactly the one uniform the old
-  // corrupt_capture drew, so the injector's RNG stream is unchanged, and
-  // events the tap leaves untouched (kNone — the overwhelming majority at
-  // realistic fault rates) are known untouched up front.
-  const FaultKind kind = injector_ == nullptr
-                             ? FaultKind::kNone
-                             : injector_->roll_capture();
-  // Fast path: for untouched events the serialized records are
-  // byte-for-byte what the structs would produce (the codecs are
-  // inverses), so the serialize→parse round trip is pure overhead.
-  // observe_event_fast harvests the structs directly and declines
-  // (recording nothing) on any event the byte path would treat specially —
-  // which then falls through to serialization below.
-  if (kind == FaultKind::kNone && fast_observe_ && observe_event_fast(event)) {
-    if (tel_fast_ != nullptr) tel_fast_->add();
-    return;
-  }
-  // The GenCache ships the hello's record bytes with the event; copy them
-  // (the injector mutates this buffer in place) instead of re-serializing.
+void serialize_event_records(const tls::population::ConnectionEvent& event,
+                             std::vector<std::uint8_t>& client,
+                             std::vector<std::uint8_t>& server,
+                             std::vector<std::uint8_t>& ske,
+                             std::vector<std::uint8_t>& alert) {
   if (!event.client_record.empty()) {
-    buf_client_.assign(event.client_record.begin(), event.client_record.end());
+    client.assign(event.client_record.begin(), event.client_record.end());
   } else {
-    event.hello.serialize_record_into(buf_client_);
+    event.hello.serialize_record_into(client);
   }
-  buf_server_.clear();
-  buf_ske_.clear();
-  buf_alert_.clear();
+  server.clear();
+  ske.clear();
+  alert.clear();
   if (event.result.server_hello.has_value()) {
     const auto& sh = *event.result.server_hello;
-    sh.serialize_record_into(buf_server_);
+    sh.serialize_record_into(server);
     // Pre-1.3 EC handshakes carry the chosen curve in ServerKeyExchange.
     if (event.result.negotiated_group != 0 &&
         !sh.has_extension(tls::core::ExtensionType::kSupportedVersions)) {
       tls::wire::EcdheServerKeyExchange::stub(event.result.negotiated_group)
-          .serialize_record_into(sh.legacy_version, buf_ske_);
+          .serialize_record_into(sh.legacy_version, ske);
     }
   }
   if (!event.result.success &&
       event.result.failure != tls::handshake::FailureReason::kNone) {
     tls::handshake::alert_for(event.result.failure)
-        .serialize_record_into(0x0301, buf_alert_);
+        .serialize_record_into(0x0301, alert);
   }
-  bool client_only = false;
-  // Anything the tap touched must bypass the cache: the quarantine and
-  // error-taxonomy paths have to run for every corrupted repetition.
-  const bool cacheable = kind == FaultKind::kNone;
-  if (kind != FaultKind::kNone) {
-    injector_->apply_capture(kind, buf_client_, buf_server_);
-    // SKE and alert records travel in the server direction: when that
-    // direction is lost, they are lost with it.
-    if (buf_server_.empty() &&
-        (kind == FaultKind::kDropFlight || kind == FaultKind::kOneSided)) {
-      buf_ske_.clear();
-      buf_alert_.clear();
-      client_only = kind == FaultKind::kOneSided && !buf_client_.empty();
-    }
-  }
-  observe_wire(event.month, event.day, buf_client_, buf_server_, buf_ske_,
-               event.result.success, event.used_fallback, buf_alert_,
-               cacheable);
-  if (client_only) ++stats(event.month).one_sided_client;
+}
+
+void PassiveMonitor::observe(const tls::population::ConnectionEvent& event) {
+  observe_span({&event, 1});
 }
 
 void PassiveMonitor::observe_span(
     std::span<const tls::population::ConnectionEvent> events) {
-  // The injector's roll/apply calls must stay adjacent per event in stream
-  // order — batching would reorder its RNG draws — so chaos runs take the
-  // per-event path. Tiny spans aren't worth the phase bookkeeping.
-  if (injector_ != nullptr || events.size() < 2) {
-    for (const auto& event : events) observe(event);
-    return;
+  using tls::faults::FaultKind;
+  if (batch_.captures.size() < events.size()) {
+    batch_.captures.resize(events.size());
   }
-
-  // Phase A — route every event and build features without mutating any
-  // aggregate. Fingerprint digests are deferred into span_canonicals_.
-  span_slots_.clear();
-  span_wire_.clear();
-  span_canonicals_.clear();
-  if (span_cf_.size() < events.size()) {
-    span_cf_.resize(events.size());
-    span_sf_.resize(events.size());
-  }
-  std::string canonical;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto& event = events[i];
-    SpanSlot slot;
+  std::size_t n = 0;
+  for (const auto& event : events) {
     if (event.sslv2) {
-      slot.kind = SpanSlotKind::kSslv2;
-      span_slots_.push_back(slot);
+      // SSLv2 residue only bumps counters, so it needs no place in the
+      // ordered batch below.
+      observe_sslv2(event.month);
       continue;
     }
-    if (fast_observe_ &&
-        fast_build(event, span_cf_[i], span_sf_[i], &canonical)) {
-      slot.kind = SpanSlotKind::kFast;
-      if (span_cf_[i].fingerprint_computed) {
-        slot.canon = static_cast<std::ptrdiff_t>(span_canonicals_.size());
-        span_canonicals_.push_back(std::move(canonical));
-      }
-      span_slots_.push_back(slot);
-      continue;
-    }
-    // Fast path declined (or disabled): serialize for the byte path,
-    // exactly as observe() does for an untouched (kNone) event.
-    slot.kind = SpanSlotKind::kWire;
-    span_slots_.push_back(slot);
-    WireCapture cap;
+    // With a chaos tap attached, draw the capture-fault roll BEFORE
+    // serializing: the roll consumes exactly one uniform, and events the
+    // tap leaves untouched (kNone — the overwhelming majority at realistic
+    // fault rates) are known untouched up front.
+    const FaultKind kind = injector_ == nullptr
+                               ? FaultKind::kNone
+                               : injector_->roll_capture();
+    WireCapture& cap = batch_.captures[n++];
     cap.month = event.month;
     cap.day = event.day;
-    if (!event.client_record.empty()) {
-      cap.client = event.client_record;  // pre-serialized by the GenCache
-    } else {
-      event.hello.serialize_record_into(cap.client);
-    }
-    if (event.result.server_hello.has_value()) {
-      const auto& sh = *event.result.server_hello;
-      sh.serialize_record_into(cap.server);
-      if (event.result.negotiated_group != 0 &&
-          !sh.has_extension(tls::core::ExtensionType::kSupportedVersions)) {
-        tls::wire::EcdheServerKeyExchange::stub(event.result.negotiated_group)
-            .serialize_record_into(sh.legacy_version, cap.ske);
-      }
-    }
-    if (!event.result.success &&
-        event.result.failure != tls::handshake::FailureReason::kNone) {
-      tls::handshake::alert_for(event.result.failure)
-          .serialize_record_into(0x0301, cap.alert);
-    }
+    serialize_event_records(event, cap.client, cap.server, cap.ske,
+                            cap.alert);
     cap.success = event.result.success;
     cap.used_fallback = event.used_fallback;
-    span_wire_.push_back(std::move(cap));
-  }
-
-  // Phase B — one multi-lane digest pass over the generation.
-  span_canonical_views_.clear();
-  for (const auto& c : span_canonicals_) span_canonical_views_.push_back(c);
-  span_digests_.resize(span_canonicals_.size());
-  tls::fp::md5_batch(span_canonical_views_, span_digests_);
-
-  // Phase C — apply per event in the original order. Byte-path events are
-  // applied after the fast ones (in order among themselves); the only
-  // cross-path reordering is over commutative folds, so exports match the
-  // per-event path bit for bit.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const SpanSlot& slot = span_slots_[i];
-    switch (slot.kind) {
-      case SpanSlotKind::kSslv2:
-        observe_sslv2(events[i].month);
-        break;
-      case SpanSlotKind::kFast:
-        if (slot.canon >= 0) {
-          finalize_client_fingerprint(span_cf_[i], database_,
-                                      span_digests_[slot.canon]);
-        }
-        if (tel_fast_ != nullptr) tel_fast_->add();
-        fast_apply(events[i], span_cf_[i], span_sf_[i]);
-        break;
-      case SpanSlotKind::kWire:
-        break;
+    // Anything the tap touched must bypass the cache: the quarantine and
+    // error-taxonomy paths have to run for every corrupted repetition.
+    cap.cacheable = kind == FaultKind::kNone;
+    cap.one_sided_client = false;
+    if (kind != FaultKind::kNone) {
+      injector_->apply_capture(kind, cap.client, cap.server);
+      // SKE and alert records travel in the server direction: when that
+      // direction is lost, they are lost with it.
+      if (cap.server.empty() &&
+          (kind == FaultKind::kDropFlight || kind == FaultKind::kOneSided)) {
+        cap.ske.clear();
+        cap.alert.clear();
+        cap.one_sided_client =
+            kind == FaultKind::kOneSided && !cap.client.empty();
+      }
     }
   }
-  if (!span_wire_.empty()) observe_wire_batch(span_wire_);
+  observe_wire_batch({batch_.captures.data(), n});
 }
 
 void PassiveMonitor::observe_wire_batch(std::span<const WireCapture> caps) {
+  using Slot = BatchBuffers::Slot;
   if (caps.empty()) return;
   const bool cache_on = cache_.enabled();
+  if (batch_.slots.size() < caps.size()) batch_.slots.resize(caps.size());
 
-  // Lane-hash the bucket keys of every cacheable record (client and server
-  // sides in one batch) while the cache runs its production FNV-1a hash.
-  batch_hash_inputs_.clear();
-  if (cache_on && cache_.uses_default_hash()) {
-    for (const auto& cap : caps) {
-      if (!cap.cacheable) continue;
-      batch_hash_inputs_.push_back(cap.client);
-      if (!cap.server.empty()) batch_hash_inputs_.push_back(cap.server);
-    }
-    batch_hashes_.resize(batch_hash_inputs_.size());
-    tls::fp::fnv1a64_batch(batch_hash_inputs_, batch_hashes_);
+  // Build the cache key of every cacheable record, and lane-hash the keys
+  // (client and server sides in one batch) while the cache runs its
+  // production FNV-1a hash.
+  const bool lane_hash = cache_on && cache_.uses_default_hash();
+  batch_.hash_inputs.clear();
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    const WireCapture& cap = caps[i];
+    Slot& slot = batch_.slots[i];
+    slot.use_cache = cap.cacheable && cache_on;
+    if (!slot.use_cache) continue;
+    ObserveCache::make_key(cap.client, slot.client_key);
+    ObserveCache::make_key(cap.server, slot.server_key);
+    if (!lane_hash) continue;
+    batch_.hash_inputs.push_back(slot.client_key);
+    if (!slot.server_key.empty()) batch_.hash_inputs.push_back(slot.server_key);
+  }
+  if (lane_hash) {
+    batch_.hashes.resize(batch_.hash_inputs.size());
+    tls::fp::fnv1a64_batch(batch_.hash_inputs, batch_.hashes);
   }
 
   // The find phase below hands out pointers into cache entries that must
@@ -317,38 +239,35 @@ void PassiveMonitor::observe_wire_batch(std::span<const WireCapture> caps) {
   if (cache_on) cache_.ensure_client_headroom(caps.size());
 
   // Phase A — resolve every client record: lookup, or parse + feature
-  // build with the fingerprint digest deferred into wire_canonicals_.
-  wire_slots_.resize(caps.size());
-  wire_canonicals_.clear();
+  // build with the fingerprint digest deferred into batch_.canonicals.
+  batch_.canonicals.clear();
   std::size_t hash_cursor = 0;
-  const bool laned_hashes = !batch_hash_inputs_.empty();
   for (std::size_t i = 0; i < caps.size(); ++i) {
     const WireCapture& cap = caps[i];
-    WireSlot& slot = wire_slots_[i];
+    Slot& slot = batch_.slots[i];
     slot.hello = nullptr;
     slot.feats = nullptr;
     slot.errors.clear();
     slot.canon = -1;
     slot.has_server_hash = false;
     if (tel_byte_ != nullptr) tel_byte_->add();
-    slot.use_cache = cap.cacheable && cache_on;
     if (!cap.cacheable && cache_on) cache_.count_bypass();
     if (slot.use_cache) {
-      if (laned_hashes) {
-        slot.client_hash = batch_hashes_[hash_cursor++];
-        if (!cap.server.empty()) {
-          slot.server_hash = batch_hashes_[hash_cursor++];
+      if (lane_hash) {
+        slot.client_hash = batch_.hashes[hash_cursor++];
+        if (!slot.server_key.empty()) {
+          slot.server_hash = batch_.hashes[hash_cursor++];
           slot.has_server_hash = true;
         }
       } else {
-        slot.client_hash = cache_.hash_bytes(cap.client);
+        slot.client_hash = cache_.hash_bytes(slot.client_key);
       }
     }
     const bool want_fp = cap.month >= fp_start();
     if (slot.use_cache) {
       if (const auto hit = cache_.find_client_hashed(
-              cap.client, slot.client_hash, want_fp)) {
-        slot.kind = WireSlot::Kind::kHit;
+              slot.client_key, slot.client_hash, want_fp)) {
+        slot.kind = Slot::Kind::kHit;
         slot.hello = hit->hello;
         slot.feats = hit->features;
         continue;
@@ -357,42 +276,43 @@ void PassiveMonitor::observe_wire_batch(std::span<const WireCapture> caps) {
     try {
       slot.owned_hello = ClientHello::parse_record(cap.client);
     } catch (const tls::wire::ParseError& e) {
-      slot.kind = WireSlot::Kind::kQuarantine;
+      slot.kind = Slot::Kind::kQuarantine;
       slot.parse_error = e.code();
       continue;
     }
-    slot.kind = WireSlot::Kind::kMiss;
+    slot.kind = Slot::Kind::kMiss;
     std::string canonical;
     build_client_features(slot.owned_hello, database_, want_fp,
                           slot.owned_feats, slot.errors, &canonical);
     if (slot.owned_feats.fingerprint_computed) {
-      slot.canon = static_cast<std::ptrdiff_t>(wire_canonicals_.size());
-      wire_canonicals_.push_back(std::move(canonical));
+      slot.canon = static_cast<std::ptrdiff_t>(batch_.canonicals.size());
+      batch_.canonicals.push_back(std::move(canonical));
     }
   }
 
   // Phase B — digest the generation's miss canonicals in SIMD lanes.
-  wire_canonical_views_.clear();
-  for (const auto& c : wire_canonicals_) wire_canonical_views_.push_back(c);
-  wire_digests_.resize(wire_canonicals_.size());
-  tls::fp::md5_batch(wire_canonical_views_, wire_digests_);
+  batch_.canonical_views.clear();
+  for (const auto& c : batch_.canonicals) batch_.canonical_views.push_back(c);
+  batch_.digests.resize(batch_.canonicals.size());
+  tls::fp::md5_batch(batch_.canonical_views, batch_.digests);
 
   // Phase C — complete label/insert and ingest per capture in the original
   // order; each capture's mutation sequence is exactly observe_wire's.
   for (std::size_t i = 0; i < caps.size(); ++i) {
     const WireCapture& cap = caps[i];
-    WireSlot& slot = wire_slots_[i];
+    Slot& slot = batch_.slots[i];
+    if (cap.one_sided_client) ++stats(cap.month).one_sided_client;
     bool client_clean = true;
     switch (slot.kind) {
-      case WireSlot::Kind::kQuarantine:
+      case Slot::Kind::kQuarantine:
         note_error(cap.month, IngestStage::kClientHello, slot.parse_error,
                    cap.client);
         quarantine_capture(cap.month);
         continue;
-      case WireSlot::Kind::kMiss: {
+      case Slot::Kind::kMiss: {
         if (slot.canon >= 0) {
           finalize_client_fingerprint(slot.owned_feats, database_,
-                                      wire_digests_[slot.canon]);
+                                      batch_.digests[slot.canon]);
         }
         for (const auto code : slot.errors) {
           note_error(cap.month, IngestStage::kClientHello, code, cap.client);
@@ -400,7 +320,7 @@ void PassiveMonitor::observe_wire_batch(std::span<const WireCapture> caps) {
         client_clean = slot.errors.empty();
         if (slot.use_cache && client_clean) {
           const auto inserted = cache_.insert_client_hashed(
-              cap.client, slot.client_hash, std::move(slot.owned_hello),
+              slot.client_key, slot.client_hash, std::move(slot.owned_hello),
               std::move(slot.owned_feats));
           slot.hello = inserted.hello;
           slot.feats = inserted.features;
@@ -411,12 +331,12 @@ void PassiveMonitor::observe_wire_batch(std::span<const WireCapture> caps) {
         }
         break;
       }
-      case WireSlot::Kind::kHit:
+      case Slot::Kind::kHit:
         break;
     }
-    ingest_resolved(cap.month, cap.day, *slot.hello, *slot.feats,
-                    client_clean, cap.server, cap.ske, cap.success,
-                    cap.used_fallback, cap.alert, slot.use_cache,
+    ingest_resolved(cap.month, cap.day, cap.client, *slot.hello, *slot.feats,
+                    client_clean, cap.server, slot.server_key, cap.ske,
+                    cap.success, cap.used_fallback, cap.alert, slot.use_cache,
                     slot.has_server_hash ? &slot.server_hash : nullptr);
   }
 }
@@ -474,12 +394,9 @@ void PassiveMonitor::observe_flights(
 
 void PassiveMonitor::set_telemetry(tls::telemetry::MetricsRegistry* registry) {
   if (registry == nullptr) {
-    tel_fast_ = tel_byte_ = tel_sslv2_ = nullptr;
+    tel_byte_ = tel_sslv2_ = nullptr;
     return;
   }
-  tel_fast_ = &registry->counter(
-      "tls_repro_notary_fast_path_total", "",
-      "Connections harvested via the struct-reuse fast path");
   tel_byte_ = &registry->counter(
       "tls_repro_notary_byte_path_total", "",
       "Connections ingested through the serialize/parse byte path");
@@ -539,15 +456,12 @@ void PassiveMonitor::apply_client_features(MonthlyStats& s, Month m,
 }
 
 void PassiveMonitor::apply_server_features(
-    MonthlyStats& s, const ClientHello& hello, const ClientHelloFeatures& cf,
-    const ServerHello& sh, const ServerHelloFeatures& sf,
-    std::optional<std::uint16_t> ske_group) {
+    MonthlyStats& s, const ClientHelloFeatures& cf,
+    const ServerHelloFeatures& sf, std::optional<std::uint16_t> ske_group,
+    bool resumed) {
   using namespace tls::core;
   const std::uint16_t version = sf.version;
-  if (!hello.session_id.empty() && sh.session_id == hello.session_id &&
-      !is_tls13_version(version)) {
-    ++s.resumed;
-  }
+  if (resumed && !is_tls13_version(version)) ++s.resumed;
   s.count_version(version);
   if (is_tls13_version(version)) ++s.negotiated_tls13;
 
@@ -576,95 +490,6 @@ void PassiveMonitor::apply_server_features(
   s.ems_negotiated += sf.ems;
 }
 
-bool PassiveMonitor::observe_event_fast(
-    const tls::population::ConnectionEvent& event) {
-  if (!fast_build(event, scratch_features_, scratch_server_features_,
-                  /*fp_canonical=*/nullptr)) {
-    return false;
-  }
-  fast_apply(event, scratch_features_, scratch_server_features_);
-  return true;
-}
-
-bool PassiveMonitor::fast_build(const tls::population::ConnectionEvent& event,
-                                ClientHelloFeatures& cf,
-                                ServerHelloFeatures& sf,
-                                std::string* fp_canonical) {
-  const ClientHello& hello = event.hello;
-  // The byte path quarantines hellos that fail the structural parse; the
-  // only struct states that can trigger that are rejected here.
-  if (hello.cipher_suites.empty() || hello.compression_methods.empty()) {
-    return false;
-  }
-  // Precompute everything that could throw, before any state mutation, so
-  // declining is always clean. Self-generated events never carry corrupt
-  // extension bodies, but the guard keeps the fast path byte-identical to
-  // the slow path even if one did.
-  scratch_errors_.clear();
-  build_client_features(hello, database_, event.month >= fp_start(), cf,
-                        scratch_errors_, fp_canonical);
-  if (!scratch_errors_.empty()) return false;
-
-  if (event.result.server_hello.has_value() &&
-      !build_server_features(*event.result.server_hello, sf)) {
-    return false;
-  }
-  return true;
-}
-
-void PassiveMonitor::fast_apply(const tls::population::ConnectionEvent& event,
-                                const ClientHelloFeatures& cf,
-                                const ServerHelloFeatures& sf) {
-  using namespace tls::core;
-  const ClientHello& hello = event.hello;
-  const Month m = event.month;
-  const ServerHello* sh = event.result.server_hello.has_value()
-                              ? &*event.result.server_hello
-                              : nullptr;
-
-  // Mutate, mirroring observe_wire's order exactly.
-  MonthlyStats& s = stats(m);
-  ++s.total;
-  ++total_;
-  if (event.used_fallback) ++s.fallbacks;
-
-  apply_client_features(s, m, event.day, cf);
-
-  // observe() synthesizes an alert record only for failed handshakes with
-  // a concrete failure reason; alert_for's output always parses back.
-  if (!event.result.success &&
-      event.result.failure != tls::handshake::FailureReason::kNone) {
-    const auto alert = tls::handshake::alert_for(event.result.failure);
-    s.count_alert(static_cast<std::uint8_t>(alert.description));
-  }
-
-  if (sh == nullptr) {
-    ++s.failures;
-    return;
-  }
-
-  const bool offered =
-      std::find(hello.cipher_suites.begin(), hello.cipher_suites.end(),
-                sh->cipher_suite) != hello.cipher_suites.end();
-  if (!offered) ++s.spec_violations;
-
-  if (!event.result.success) {
-    ++s.failures;
-    return;
-  }
-  ++s.successful;
-
-  // The byte path sees the curve via the synthesized ServerKeyExchange
-  // record, emitted only for pre-1.3 handshakes; stub(group) round-trips
-  // the group value exactly.
-  std::optional<std::uint16_t> ske_group;
-  if (!sf.key_share_group && event.result.negotiated_group != 0 &&
-      !sh->has_extension(ExtensionType::kSupportedVersions)) {
-    ske_group = event.result.negotiated_group;
-  }
-  apply_server_features(s, hello, cf, *sh, sf, ske_group);
-}
-
 void PassiveMonitor::observe_wire(
     Month m, const tls::core::Date& day,
     std::span<const std::uint8_t> client_record,
@@ -677,13 +502,17 @@ void PassiveMonitor::observe_wire(
   const bool use_cache = cacheable && cache_.enabled();
   if (!cacheable && cache_.enabled()) cache_.count_bypass();
   const bool want_fp = m >= fp_start();
+  if (use_cache) {
+    ObserveCache::make_key(client_record, client_key_);
+    ObserveCache::make_key(server_record, server_key_);
+  }
 
   // ---- client side: memoized feature extraction ----
   const ClientHello* hello = nullptr;
   const ClientHelloFeatures* feats = nullptr;
   bool client_clean = true;
   if (use_cache) {
-    if (const auto hit = cache_.find_client(client_record, want_fp)) {
+    if (const auto hit = cache_.find_client(client_key_, want_fp)) {
       hello = hit->hello;
       feats = hit->features;
     }
@@ -707,7 +536,7 @@ void PassiveMonitor::observe_wire(
       // Only error-free extractions are memoized: repetitions of a record
       // that produces errors must replay the taxonomy/quarantine writes.
       const auto inserted =
-          cache_.insert_client(client_record, scratch_hello_,
+          cache_.insert_client(client_key_, scratch_hello_,
                                scratch_features_);
       hello = inserted.hello;
       feats = inserted.features;
@@ -718,15 +547,18 @@ void PassiveMonitor::observe_wire(
     }
   }
 
-  ingest_resolved(m, day, *hello, *feats, client_clean, server_record,
-                  server_key_exchange_record, success, used_fallback,
-                  alert_record, use_cache, /*server_hash=*/nullptr);
+  ingest_resolved(m, day, client_record, *hello, *feats, client_clean,
+                  server_record, server_key_, server_key_exchange_record,
+                  success, used_fallback, alert_record, use_cache,
+                  /*server_hash=*/nullptr);
 }
 
 void PassiveMonitor::ingest_resolved(
-    Month m, const tls::core::Date& day, const ClientHello& hello_ref,
+    Month m, const tls::core::Date& day,
+    std::span<const std::uint8_t> client_record, const ClientHello& hello_ref,
     const ClientHelloFeatures& feats_ref, bool client_clean,
     std::span<const std::uint8_t> server_record,
+    std::span<const std::uint8_t> server_key,
     std::span<const std::uint8_t> server_key_exchange_record, bool success,
     bool used_fallback, std::span<const std::uint8_t> alert_record,
     bool use_cache, const std::uint64_t* server_hash) {
@@ -759,10 +591,10 @@ void PassiveMonitor::ingest_resolved(
   const ServerHelloFeatures* sfeats = nullptr;
   const std::uint64_t sh_hash =
       use_cache ? (server_hash != nullptr ? *server_hash
-                                          : cache_.hash_bytes(server_record))
+                                          : cache_.hash_bytes(server_key))
                 : 0;
   if (use_cache) {
-    if (const auto hit = cache_.find_server_hashed(server_record, sh_hash)) {
+    if (const auto hit = cache_.find_server_hashed(server_key, sh_hash)) {
       sh = hit->hello;
       sfeats = hit->features;
     }
@@ -786,7 +618,7 @@ void PassiveMonitor::ingest_resolved(
         // Move the parsed hello into the entry (scratch is reassigned on
         // its next use); the hash computed for the lookup is reused.
         const auto inserted = cache_.insert_server_hashed(
-            server_record, sh_hash, std::move(scratch_server_hello_),
+            server_key, sh_hash, std::move(scratch_server_hello_),
             scratch_server_features_);
         sh = inserted.hello;
         sfeats = inserted.features;
@@ -810,6 +642,14 @@ void PassiveMonitor::ingest_resolved(
   }
   ++s.successful;
 
+  // Resumption: a non-empty client session id echoed verbatim by the
+  // server. Read from the real records (both parsed, so the fixed offsets
+  // hold): a cached hello's session id is zeroed.
+  const auto client_sid = ObserveCache::session_id_of(client_record);
+  const auto server_sid = ObserveCache::session_id_of(server_record);
+  const bool resumed = !client_sid.empty() &&
+                       std::ranges::equal(client_sid, server_sid);
+
   if (sfeats != nullptr && client_clean) {
     // Both sides extracted error-free: no accessor can throw, so the
     // memoized mirror of the guarded block below applies.
@@ -824,16 +664,13 @@ void PassiveMonitor::ingest_resolved(
                    server_key_exchange_record);
       }
     }
-    apply_server_features(s, *hello, *feats, *sh, *sfeats, ske_group);
+    apply_server_features(s, *feats, *sfeats, ske_group, resumed);
     return;
   }
 
   try {
     const std::uint16_t version = sh->negotiated_version();
-    if (!hello->session_id.empty() && sh->session_id == hello->session_id &&
-        !is_tls13_version(version)) {
-      ++s.resumed;
-    }
+    if (resumed && !is_tls13_version(version)) ++s.resumed;
     s.count_version(version);
     if (is_tls13_version(version)) ++s.negotiated_tls13;
 

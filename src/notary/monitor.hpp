@@ -261,25 +261,17 @@ class PassiveMonitor {
   explicit PassiveMonitor(const tls::fp::FingerprintDatabase* database = nullptr)
       : database_(database) {}
 
-  /// Convenience wrapper: feeds one generated connection to the monitor.
-  /// With no fault injector attached, a documented fast path harvests the
-  /// already-built structs directly — serializing and re-parsing them would
-  /// be a pure round trip (the codecs are inverses; proven byte-identical
-  /// by test). With an injector attached, the event is serialized, run
-  /// through the chaos tap, and ingested via observe_wire; records the tap
-  /// touched bypass the observe cache.
+  /// Feeds one generated connection to the monitor: observe_span over a
+  /// one-event span.
   void observe(const tls::population::ConnectionEvent& event);
 
-  /// Batch entry point used by the sharded study runner. With a fault
-  /// injector attached it degrades to calling observe per event (the
-  /// injector's roll/apply RNG adjacency forbids reordering); otherwise it
-  /// runs the batched pipeline: per-event feature builds with deferred
-  /// fingerprint digests, one SIMD md5_batch over the generation's
-  /// canonical strings, then per-event application in the original order.
-  /// Exported aggregates are byte-identical to the per-event path — every
-  /// event contributes exactly the same increments, and the only
-  /// reordering is across commutative folds (counters, min/max lifetimes,
-  /// flag ORs).
+  /// The study's entry point. Serializes each event into the records a tap
+  /// would see (serialize_event_records), runs them through the chaos tap
+  /// when a fault injector is attached, and ingests the batch with
+  /// observe_wire_batch. Records the tap touched bypass the observe cache.
+  /// Exported aggregates are byte-identical to observe_wire per capture:
+  /// the injector's roll/apply draws stay adjacent per event in stream
+  /// order, and the batch applies every capture in that order.
   void observe_span(std::span<const tls::population::ConnectionEvent> events);
 
   /// One pre-serialized capture for observe_wire_batch — the fields of an
@@ -294,7 +286,59 @@ class PassiveMonitor {
     bool success = false;
     bool used_fallback = false;
     bool cacheable = true;
+    /// The tap lost the server direction of an otherwise intact capture
+    /// (counted in MonthlyStats::one_sided_client).
+    bool one_sided_client = false;
   };
+
+  /// Reusable buffers of observe_span / observe_wire_batch; their contents
+  /// are the monitor's business. Allocations are kept across batches.
+  class BatchBuffers {
+    friend class PassiveMonitor;
+    // observe_span's serialized captures. Only a prefix is live per batch;
+    // the slots past it keep their buffers for the next one.
+    std::vector<WireCapture> captures;
+    // observe_wire_batch slots: per-capture client-record resolution.
+    struct Slot {
+      enum class Kind : std::uint8_t { kQuarantine, kHit, kMiss };
+      Kind kind = Kind::kMiss;
+      tls::wire::ParseErrorCode parse_error{};  // kQuarantine
+      const tls::wire::ClientHello* hello = nullptr;
+      const ClientHelloFeatures* feats = nullptr;
+      tls::wire::ClientHello owned_hello;  // kMiss
+      ClientHelloFeatures owned_feats;
+      std::vector<tls::wire::ParseErrorCode> errors;
+      std::ptrdiff_t canon = -1;  // index into canonicals
+      std::vector<std::uint8_t> client_key, server_key;  // when use_cache
+      std::uint64_t client_hash = 0;
+      std::uint64_t server_hash = 0;
+      bool has_server_hash = false;
+      bool use_cache = false;
+    };
+    std::vector<Slot> slots;
+    std::vector<std::string> canonicals;
+    std::vector<std::string_view> canonical_views;
+    std::vector<std::array<std::uint8_t, 16>> digests;
+    std::vector<std::span<const std::uint8_t>> hash_inputs;
+    std::vector<std::uint64_t> hashes;
+  };
+
+  /// What a worker thread keeps across the short-lived monitors of its
+  /// shard tasks: the observe cache's entries, warm across tasks, and the
+  /// batch buffers, so a task allocates none. Neither changes an aggregate.
+  struct WorkerState {
+    explicit WorkerState(std::size_t cache_entries) : cache(cache_entries) {}
+    ObserveCache cache;
+    BatchBuffers buffers;
+  };
+  /// Swaps the monitor's cache entries and batch buffers with `state`. The
+  /// monitor keeps its cache statistics (ObserveCache::swap_entries), so
+  /// swapping a worker's state in before a task and out after it leaves
+  /// the monitor counting only that task's lookups.
+  void swap_worker_state(WorkerState& state) {
+    cache_.swap_entries(state.cache);
+    std::swap(batch_, state.buffers);
+  }
 
   /// Batched byte path: equivalent to calling observe_wire per capture, but
   /// the cache-miss captures of the whole batch are resolved in phases —
@@ -331,9 +375,9 @@ class PassiveMonitor {
                        std::span<const std::uint8_t> client_stream,
                        std::span<const std::uint8_t> server_stream);
 
-  /// Attaches a chaos tap: observe() runs every serialized record through
-  /// `injector` before ingesting it. nullptr (default) detaches; the
-  /// fault-free path is untouched either way.
+  /// Attaches a chaos tap: observe_span runs every serialized record
+  /// through `injector` before ingesting it. nullptr (default) detaches;
+  /// the fault-free path is untouched either way.
   void set_fault_injector(tls::faults::FaultInjector* injector) {
     injector_ = injector;
   }
@@ -342,7 +386,7 @@ class PassiveMonitor {
   void observe_sslv2(tls::core::Month month);
 
   /// Attaches a telemetry registry: the monitor resolves counter handles
-  /// for its ingest-path split (fast/byte/sslv2) and bumps them per event.
+  /// for its ingest-path split (byte/sslv2) and bumps them per event.
   /// nullptr (default) detaches; the disabled path costs one null check
   /// per event and never reads a clock, so attaching telemetry cannot
   /// perturb any aggregate the monitor exports.
@@ -376,16 +420,13 @@ class PassiveMonitor {
   // ---- observe-cache control / observability ----
   /// Per-direction entry budget; 0 disables memoization. Any setting
   /// yields identical aggregates — the cache memoizes a pure function of
-  /// the record bytes.
+  /// each record's connection-invariant bytes.
   void set_observe_cache_capacity(std::size_t entries) {
     cache_.set_capacity(entries);
   }
   [[nodiscard]] const ObserveCacheStats& observe_cache_stats() const {
     return cache_.stats();
   }
-  /// Test seam: disabling forces observe() onto the serialize→parse byte
-  /// path even without a fault injector.
-  void set_fast_observe(bool enabled) { fast_observe_ = enabled; }
   /// Test seam: degenerate hash functions force 64-bit key collisions.
   void set_observe_cache_hash_for_test(ObserveCache::HashFn hash) {
     cache_.set_hash_for_test(hash);
@@ -434,32 +475,16 @@ class PassiveMonitor {
   void observe_server_only(tls::core::Month m,
                            const tls::wire::ParsedFlight& flight);
 
-  /// Struct-reuse fast path for observe(); returns false — having recorded
-  /// nothing — when the event needs the byte path (structurally
-  /// unparseable hello, or any lazy accessor that would throw mid-harvest).
-  bool observe_event_fast(const tls::population::ConnectionEvent& event);
-
-  /// Pure half of the fast path: builds both feature sets without mutating
-  /// any aggregate; returns false when the event must take the byte path.
-  /// `fp_canonical` (optional) defers the fingerprint digest exactly like
-  /// build_client_features.
-  bool fast_build(const tls::population::ConnectionEvent& event,
-                  ClientHelloFeatures& cf, ServerHelloFeatures& sf,
-                  std::string* fp_canonical);
-  /// Mutating half: applies a fast_build result, mirroring observe_wire's
-  /// mutation order. `cf` must have its fingerprint finalized.
-  void fast_apply(const tls::population::ConnectionEvent& event,
-                  const ClientHelloFeatures& cf,
-                  const ServerHelloFeatures& sf);
-
   /// Shared ingest tail of observe_wire / observe_wire_batch: everything
   /// after the client record is resolved to (hello, features, clean).
-  /// `server_hash` optionally carries a lane-precomputed bucket hash for
-  /// the server record.
+  /// `server_key` is the server record's cache key (read when use_cache)
+  /// and `server_hash` optionally carries its lane-precomputed bucket hash.
   void ingest_resolved(tls::core::Month m, const tls::core::Date& day,
+                       std::span<const std::uint8_t> client_record,
                        const tls::wire::ClientHello& hello,
                        const ClientHelloFeatures& feats, bool client_clean,
                        std::span<const std::uint8_t> server_record,
+                       std::span<const std::uint8_t> server_key,
                        std::span<const std::uint8_t> ske_record, bool success,
                        bool used_fallback,
                        std::span<const std::uint8_t> alert_record,
@@ -470,13 +495,13 @@ class PassiveMonitor {
                              const tls::core::Date& day,
                              const ClientHelloFeatures& f);
   /// Applies memoized server features; only valid when both sides' feature
-  /// extraction was error-free (no accessor can throw then).
-  void apply_server_features(MonthlyStats& s,
-                             const tls::wire::ClientHello& hello,
-                             const ClientHelloFeatures& cf,
-                             const tls::wire::ServerHello& sh,
+  /// extraction was error-free (no accessor can throw then). `resumed` is
+  /// read from the real record bytes (a cached hello's session id is
+  /// zeroed).
+  void apply_server_features(MonthlyStats& s, const ClientHelloFeatures& cf,
                              const ServerHelloFeatures& sf,
-                             std::optional<std::uint16_t> ske_group);
+                             std::optional<std::uint16_t> ske_group,
+                             bool resumed);
 
   const tls::fp::FingerprintDatabase* database_;
   std::map<tls::core::Month, MonthlyStats> months_;
@@ -489,10 +514,8 @@ class PassiveMonitor {
   tls::faults::FaultInjector* injector_ = nullptr;
 
   ObserveCache cache_;
-  bool fast_observe_ = true;
   // Telemetry counter handles (null = telemetry detached). Registry map
   // nodes have stable addresses, so caching the pointers is safe.
-  tls::telemetry::Counter* tel_fast_ = nullptr;
   tls::telemetry::Counter* tel_byte_ = nullptr;
   tls::telemetry::Counter* tel_sslv2_ = nullptr;
   // Reusable scratch for the per-connection hot path (a monitor is
@@ -502,45 +525,24 @@ class PassiveMonitor {
   ClientHelloFeatures scratch_features_;
   ServerHelloFeatures scratch_server_features_;
   std::vector<tls::wire::ParseErrorCode> scratch_errors_;
-  std::vector<std::uint8_t> buf_client_, buf_server_, buf_ske_, buf_alert_;
+  std::vector<std::uint8_t> client_key_, server_key_;
 
-  // ---- batch scratch (allocations reused across generations) ----
-  // observe_span slots: how each event of the current batch is routed.
-  enum class SpanSlotKind : std::uint8_t { kSslv2, kFast, kWire };
-  struct SpanSlot {
-    SpanSlotKind kind = SpanSlotKind::kWire;
-    std::ptrdiff_t canon = -1;  // index into span_canonicals_ (kFast)
-  };
-  // observe_wire_batch slots: per-capture client-record resolution.
-  struct WireSlot {
-    enum class Kind : std::uint8_t { kQuarantine, kHit, kMiss };
-    Kind kind = Kind::kMiss;
-    tls::wire::ParseErrorCode parse_error{};  // kQuarantine
-    const tls::wire::ClientHello* hello = nullptr;
-    const ClientHelloFeatures* feats = nullptr;
-    tls::wire::ClientHello owned_hello;  // kMiss
-    ClientHelloFeatures owned_feats;
-    std::vector<tls::wire::ParseErrorCode> errors;
-    std::ptrdiff_t canon = -1;  // index into wire_canonicals_
-    std::uint64_t client_hash = 0;
-    std::uint64_t server_hash = 0;
-    bool has_server_hash = false;
-    bool use_cache = false;
-  };
-  std::vector<SpanSlot> span_slots_;
-  std::vector<ClientHelloFeatures> span_cf_;
-  std::vector<ServerHelloFeatures> span_sf_;
-  std::vector<WireCapture> span_wire_;
-  std::vector<std::string> span_canonicals_;
-  std::vector<std::string_view> span_canonical_views_;
-  std::vector<std::array<std::uint8_t, 16>> span_digests_;
-  std::vector<WireSlot> wire_slots_;
-  std::vector<std::string> wire_canonicals_;
-  std::vector<std::string_view> wire_canonical_views_;
-  std::vector<std::array<std::uint8_t, 16>> wire_digests_;
-  std::vector<std::span<const std::uint8_t>> batch_hash_inputs_;
-  std::vector<std::uint64_t> batch_hashes_;
+  BatchBuffers batch_;
 };
+
+/// The one event→capture serializer: writes the records a tap would see
+/// for a generated TLS connection (not SSLv2) into the four buffers,
+/// replacing their contents. The client record is the GenCache's
+/// pre-serialized bytes when the event carries them, else the re-serialized
+/// hello; then the ServerHello, the pre-1.3 ServerKeyExchange stub that
+/// carries the negotiated curve, and the alert of a failed handshake.
+/// Batch observe and the daemon's capture_from_event share it, so both
+/// ingest byte-identical streams.
+void serialize_event_records(const tls::population::ConnectionEvent& event,
+                             std::vector<std::uint8_t>& client,
+                             std::vector<std::uint8_t>& server,
+                             std::vector<std::uint8_t>& ske,
+                             std::vector<std::uint8_t>& alert);
 
 /// Flattens the monitor's per-month partition + parse-error counters into
 /// rows for tls::analysis::render_loss_table (one row per observed month,

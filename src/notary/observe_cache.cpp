@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "fingerprint/md5.hpp"
+#include "population/traffic.hpp"
 #include "tlscore/grease.hpp"
 #include "wire/extension_codec.hpp"
 
@@ -270,6 +271,23 @@ bool same_bytes(const std::vector<std::uint8_t>& key,
           std::memcmp(key.data(), record.data(), key.size()) == 0);
 }
 
+// Hello record layout shared by ClientHello and ServerHello: 5-byte
+// record header + 4-byte handshake header + 2-byte legacy_version puts the
+// 32-byte random at 11 and the session-id length byte at 43 (the offsets
+// the GenCache patches on the client side).
+constexpr std::size_t kRandomOffset = tls::population::GenCache::kRandomOffset;
+constexpr std::size_t kSessionIdOffset =
+    tls::population::GenCache::kSessionIdOffset;
+static_assert(kSessionIdOffset == kRandomOffset + 32 + 1);
+
+/// Zeroes the per-connection fields of a hello about to be memoized, so the
+/// stored entry is a pure function of its key.
+template <typename Hello>
+void clear_connection_fields(Hello& hello) {
+  hello.random.fill(0);
+  std::fill(hello.session_id.begin(), hello.session_id.end(), 0);
+}
+
 std::size_t probe_table_size(std::size_t capacity) {
   // Power of two ≥ 2× capacity: load factor ≤ 1/2, so linear probing always
   // finds an empty cell.
@@ -277,6 +295,24 @@ std::size_t probe_table_size(std::size_t capacity) {
 }
 
 }  // namespace
+
+void ObserveCache::make_key(std::span<const std::uint8_t> record,
+                            std::vector<std::uint8_t>& key) {
+  key.assign(record.begin(), record.end());
+  const std::size_t n = key.size();
+  if (n <= kRandomOffset) return;
+  std::fill(key.begin() + kRandomOffset,
+            key.begin() + std::min(n, kSessionIdOffset - 1), 0);
+  if (n < kSessionIdOffset) return;
+  const std::size_t sid_end =
+      std::min(n, kSessionIdOffset + key[kSessionIdOffset - 1]);
+  std::fill(key.begin() + kSessionIdOffset, key.begin() + sid_end, 0);
+}
+
+std::span<const std::uint8_t> ObserveCache::session_id_of(
+    std::span<const std::uint8_t> record) {
+  return record.subspan(kSessionIdOffset, record[kSessionIdOffset - 1]);
+}
 
 void ObserveCache::set_capacity(std::size_t capacity) {
   capacity_ = capacity;
@@ -315,13 +351,13 @@ void ObserveCache::ensure_client_headroom(std::size_t n) {
 }
 
 std::optional<CachedClient> ObserveCache::find_client(
-    std::span<const std::uint8_t> record, bool require_fingerprint) {
+    std::span<const std::uint8_t> key, bool require_fingerprint) {
   if (!enabled()) return std::nullopt;
-  return find_client_hashed(record, hash_(record), require_fingerprint);
+  return find_client_hashed(key, hash_(key), require_fingerprint);
 }
 
 std::optional<CachedClient> ObserveCache::find_client_hashed(
-    std::span<const std::uint8_t> record, std::uint64_t hash,
+    std::span<const std::uint8_t> key, std::uint64_t hash,
     bool require_fingerprint) {
   if (!enabled()) return std::nullopt;
   const auto tag = static_cast<std::uint32_t>(hash >> 32);
@@ -337,7 +373,7 @@ std::optional<CachedClient> ObserveCache::find_client_hashed(
         const auto& entry = client_slots_[idx];
         if (entry.hash != hash) continue;
         saw_hash = true;
-        if (!same_bytes(entry.key, record)) continue;
+        if (!same_bytes(entry.key, key)) continue;
         byte_match = true;
         if (require_fingerprint && !entry.features.fingerprint_computed) {
           // Memoized before the fingerprint era: treat as a miss so the
@@ -356,17 +392,18 @@ std::optional<CachedClient> ObserveCache::find_client_hashed(
   return std::nullopt;
 }
 
-CachedClient ObserveCache::insert_client(std::span<const std::uint8_t> record,
+CachedClient ObserveCache::insert_client(std::span<const std::uint8_t> key,
                                          const tls::wire::ClientHello& hello,
                                          const ClientHelloFeatures& features) {
-  return insert_client_hashed(record, hash_(record),
+  return insert_client_hashed(key, hash_(key),
                               tls::wire::ClientHello(hello),
                               ClientHelloFeatures(features));
 }
 
 CachedClient ObserveCache::insert_client_hashed(
-    std::span<const std::uint8_t> record, std::uint64_t hash,
+    std::span<const std::uint8_t> key, std::uint64_t hash,
     tls::wire::ClientHello&& hello, ClientHelloFeatures&& features) {
+  clear_connection_fields(hello);
   const auto tag = static_cast<std::uint32_t>(hash >> 32);
   std::size_t pos = static_cast<std::size_t>(hash) & index_mask_;
   while (client_index_[pos].head1 != 0 && client_index_[pos].tag != tag) {
@@ -376,7 +413,7 @@ CachedClient ObserveCache::insert_client_hashed(
     for (std::uint32_t idx = client_index_[pos].head1 - 1; idx != kNilSlot;
          idx = client_slots_[idx].next) {
       auto& entry = client_slots_[idx];
-      if (entry.hash != hash || !same_bytes(entry.key, record)) continue;
+      if (entry.hash != hash || !same_bytes(entry.key, key)) continue;
       // Fingerprint-era upgrade of a pre-era entry.
       entry.hello = std::move(hello);
       entry.features = std::move(features);
@@ -398,13 +435,13 @@ CachedClient ObserveCache::insert_client_hashed(
     // retained vector capacity because their producer reuses its scratch
     // buffers and must keep them.
     auto& slot = client_slots_[idx];
-    slot.key.assign(record.begin(), record.end());
+    slot.key.assign(key.begin(), key.end());
     slot.hello = std::move(hello);
     slot.features = features;
     slot.hash = hash;
     slot.next = next;
   } else {
-    client_slots_.push_back(ClientSlot{{record.begin(), record.end()},
+    client_slots_.push_back(ClientSlot{{key.begin(), key.end()},
                                        std::move(hello), std::move(features),
                                        hash, next});
   }
@@ -415,14 +452,8 @@ CachedClient ObserveCache::insert_client_hashed(
   return CachedClient{&slot.hello, &slot.features};
 }
 
-std::optional<CachedServer> ObserveCache::find_server(
-    std::span<const std::uint8_t> record) {
-  if (!enabled()) return std::nullopt;
-  return find_server_hashed(record, hash_(record));
-}
-
 std::optional<CachedServer> ObserveCache::find_server_hashed(
-    std::span<const std::uint8_t> record, std::uint64_t hash) {
+    std::span<const std::uint8_t> key, std::uint64_t hash) {
   if (!enabled()) return std::nullopt;
   const auto tag = static_cast<std::uint32_t>(hash >> 32);
   std::size_t pos = static_cast<std::size_t>(hash) & index_mask_;
@@ -434,7 +465,7 @@ std::optional<CachedServer> ObserveCache::find_server_hashed(
         const auto& entry = server_slots_[idx];
         if (entry.hash != hash) continue;
         saw_hash = true;
-        if (!same_bytes(entry.key, record)) continue;
+        if (!same_bytes(entry.key, key)) continue;
         ++stats_.server.hits;
         return CachedServer{&entry.hello, &entry.features};
       }
@@ -447,16 +478,10 @@ std::optional<CachedServer> ObserveCache::find_server_hashed(
   return std::nullopt;
 }
 
-CachedServer ObserveCache::insert_server(std::span<const std::uint8_t> record,
-                                         const tls::wire::ServerHello& hello,
-                                         const ServerHelloFeatures& features) {
-  return insert_server_hashed(record, hash_(record),
-                              tls::wire::ServerHello(hello), features);
-}
-
 CachedServer ObserveCache::insert_server_hashed(
-    std::span<const std::uint8_t> record, std::uint64_t hash,
+    std::span<const std::uint8_t> key, std::uint64_t hash,
     tls::wire::ServerHello&& hello, const ServerHelloFeatures& features) {
+  clear_connection_fields(hello);
   if (server_size_ >= capacity_) {
     flush_server();
   }
@@ -470,13 +495,13 @@ CachedServer ObserveCache::insert_server_hashed(
       server_index_[pos].head1 == 0 ? kNilSlot : server_index_[pos].head1 - 1;
   if (idx < server_slots_.size()) {
     auto& slot = server_slots_[idx];
-    slot.key.assign(record.begin(), record.end());
+    slot.key.assign(key.begin(), key.end());
     slot.hello = std::move(hello);
     slot.features = features;
     slot.hash = hash;
     slot.next = next;
   } else {
-    server_slots_.push_back(ServerSlot{{record.begin(), record.end()},
+    server_slots_.push_back(ServerSlot{{key.begin(), key.end()},
                                        std::move(hello), features, hash,
                                        next});
   }

@@ -1,18 +1,31 @@
-// Heavy-hitter memoization for the observe pipeline. The paper's central
-// empirical fact is extreme skew — 319.3B Notary connections collapse onto
-// ~70k distinct fingerprints — so a real tap sees the same ClientHello
-// bytes over and over. The ObserveCache exploits that: it memoizes, per
-// distinct record, everything observe_wire derives from the bytes alone
-// (the parse result, the advertised-feature flags, the Fig. 5 positions,
-// the extracted fingerprint + MD5 hash, and the FingerprintDatabase label
-// lookup), so repeated records cost one hash + one byte comparison instead
-// of a full parse → canonical-string → MD5 → database-lookup pipeline.
+// Memoization for the observe pipeline. The paper's central empirical fact
+// is extreme skew — 319.3B Notary connections collapse onto ~70k distinct
+// fingerprints — but no two connections carry the same hello bytes: every
+// ClientHello and ServerHello has a fresh 32-byte random, and most carry a
+// fresh session id. So the cache keys each record on its
+// connection-invariant bytes: the record with the random (offset 11) and
+// the session-id bytes (after the length byte at offset 43) zeroed, the
+// length byte kept (make_key). These are the fields the paper's
+// fingerprint leaves out, as do normalized fingerprint strings in the
+// literature. Per distinct key the cache memoizes everything observe_wire
+// derives from the bytes alone (the parse, the advertised-feature flags,
+// the Fig. 5 positions, the fingerprint + MD5 hash, the FingerprintDatabase
+// label lookup), so a repeated configuration costs one masked copy, one
+// hash and one byte comparison instead of a full parse → canonical string
+// → MD5 → database lookup.
 //
 // Correctness rules (the determinism contract of DESIGN.md §10):
-//   * Keys are the raw record bytes. Lookup hashes with a fast 64-bit FNV-1a
-//     and then verifies the FULL bytes against every candidate — a 64-bit
-//     collision can never alias two distinct records (it just costs a miss,
-//     counted in stats().client.collisions).
+//   * An entry is a pure function of its key. Parsing reads the random and
+//     the session id as opaque bytes of fixed or length-prefixed size, so
+//     records sharing a key parse alike and differ only in those bytes;
+//     inserts zero them in the stored hello. The one per-connection fact
+//     the monitor derives from them — resumption (a non-empty client
+//     session id echoed by the server) — is read from the real record
+//     bytes on every capture, hit or miss.
+//   * Lookup hashes the key with a fast 64-bit FNV-1a and then verifies the
+//     FULL key bytes against every candidate — a 64-bit collision can never
+//     alias two distinct keys (it just costs a miss, counted in
+//     stats().client.collisions).
 //   * Only records whose feature extraction produced zero ParseErrors are
 //     memoized, so the error-taxonomy and quarantine paths replay
 //     identically on every repetition.
@@ -20,7 +33,10 @@
 //     (PassiveMonitor passes cacheable=false; counted in stats().bypasses).
 //   * Eviction is a deterministic whole-generation flush when the side
 //     reaches capacity — no recency/frequency state that could depend on
-//     thread scheduling.
+//     thread scheduling. Which records hit does depend on what the cache
+//     saw before (the study keeps one cache per worker across shard
+//     tasks), so hit/miss counts are schedule-derived; exported aggregates
+//     never are.
 #pragma once
 
 #include <array>
@@ -29,6 +45,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fingerprint/database.hpp"
@@ -181,7 +198,7 @@ class ObserveCache {
   /// modest last-level cache: in the all-miss regime every insert writes a
   /// full entry, and a slab that spills to DRAM costs more than the parse it
   /// replaces. The paper's skew concentrates real traffic on a few hundred
-  /// distinct records, comfortably inside 1024; workloads with wider working
+  /// distinct keys, comfortably inside 1024; workloads with wider working
   /// sets can raise StudyOptions::observe_cache_entries.
   static constexpr std::size_t kDefaultCapacity = 1024;
 
@@ -202,27 +219,34 @@ class ObserveCache {
   void set_capacity(std::size_t capacity);
   void set_hash_for_test(HashFn hash) { hash_ = hash; }
 
-  /// Looks up a client record. `require_fingerprint` demands an entry whose
-  /// fingerprint era matches the observation month: an entry memoized in
-  /// the pre-fingerprint era reads as a miss so the caller rebuilds (and
-  /// insert_client upgrades it in place).
+  /// Writes the cache key of a hello record into `key`: the record bytes
+  /// with the 32-byte random and the session-id bytes zeroed; the
+  /// session-id length byte stays. Offsets past the end of a short record
+  /// are skipped, so any byte string has a key (a malformed record never
+  /// parses, so its key is never inserted).
+  static void make_key(std::span<const std::uint8_t> record,
+                       std::vector<std::uint8_t>& key);
+
+  /// The session-id bytes of a hello record that parsed: the resumption
+  /// check reads them here, because a cached hello's are zeroed.
+  [[nodiscard]] static std::span<const std::uint8_t> session_id_of(
+      std::span<const std::uint8_t> record);
+
+  /// Looks up a client key (make_key). `require_fingerprint` demands an
+  /// entry whose fingerprint era matches the observation month: an entry
+  /// memoized in the pre-fingerprint era reads as a miss so the caller
+  /// rebuilds (and insert_client upgrades it in place).
   [[nodiscard]] std::optional<CachedClient> find_client(
-      std::span<const std::uint8_t> record, bool require_fingerprint);
-  CachedClient insert_client(std::span<const std::uint8_t> record,
+      std::span<const std::uint8_t> key, bool require_fingerprint);
+  CachedClient insert_client(std::span<const std::uint8_t> key,
                              const tls::wire::ClientHello& hello,
                              const ClientHelloFeatures& features);
 
-  [[nodiscard]] std::optional<CachedServer> find_server(
-      std::span<const std::uint8_t> record);
-  CachedServer insert_server(std::span<const std::uint8_t> record,
-                             const tls::wire::ServerHello& hello,
-                             const ServerHelloFeatures& features);
-
   // ---- batched-path variants ----
-  // The batch observe path hashes a whole generation of records in SIMD
-  // lanes up front (tls::fp::fnv1a64_batch) and hands the hash back in, so
-  // each record is hashed exactly once across find + insert; the insert
-  // overloads take ownership instead of deep-copying the parsed hello.
+  // The batch observe path hashes a whole generation of keys in SIMD lanes
+  // up front (tls::fp::fnv1a64_batch) and hands the hash back in, so each
+  // key is hashed exactly once across find + insert; the insert overloads
+  // take ownership instead of deep-copying the parsed hello.
 
   /// True while the cache runs its production hash — the precondition for
   /// feeding it hashes from fnv1a64_batch (tests may inject another HashFn).
@@ -241,19 +265,28 @@ class ObserveCache {
   void ensure_client_headroom(std::size_t n);
 
   [[nodiscard]] std::optional<CachedClient> find_client_hashed(
-      std::span<const std::uint8_t> record, std::uint64_t hash,
+      std::span<const std::uint8_t> key, std::uint64_t hash,
       bool require_fingerprint);
-  CachedClient insert_client_hashed(std::span<const std::uint8_t> record,
+  CachedClient insert_client_hashed(std::span<const std::uint8_t> key,
                                     std::uint64_t hash,
                                     tls::wire::ClientHello&& hello,
                                     ClientHelloFeatures&& features);
 
   [[nodiscard]] std::optional<CachedServer> find_server_hashed(
-      std::span<const std::uint8_t> record, std::uint64_t hash);
-  CachedServer insert_server_hashed(std::span<const std::uint8_t> record,
+      std::span<const std::uint8_t> key, std::uint64_t hash);
+  CachedServer insert_server_hashed(std::span<const std::uint8_t> key,
                                     std::uint64_t hash,
                                     tls::wire::ServerHello&& hello,
                                     const ServerHelloFeatures& features);
+
+  /// Exchanges entries, capacity and hash function with `other`; each side
+  /// keeps its own statistics. The study lends a worker's warm cache to
+  /// each shard task's monitor this way, so the monitor records only that
+  /// task's hits and misses.
+  void swap_entries(ObserveCache& other) {
+    std::swap(*this, other);
+    std::swap(stats_, other.stats_);
+  }
 
   void count_bypass() { ++stats_.bypasses; }
   void count_uncacheable() { ++stats_.uncacheable; }
@@ -261,7 +294,7 @@ class ObserveCache {
   [[nodiscard]] const ObserveCacheStats& stats() const { return stats_; }
   ObserveCacheStats& stats() { return stats_; }
 
-  /// FNV-1a over the record bytes — fast, deterministic, seedless.
+  /// FNV-1a over the key bytes — fast, deterministic, seedless.
   static std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
 
  private:

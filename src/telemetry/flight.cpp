@@ -91,6 +91,12 @@ FlightRing::FlightRing(std::size_t capacity)
 void FlightRing::record(FlightEventKind kind, std::uint32_t a,
                         std::uint64_t b, std::uint64_t ts_us) {
   const std::uint64_t seq = head_.load(std::memory_order_relaxed);
+  // Claim event seq before touching its slot. The release fence orders the
+  // claim before the word stores below: a snapshot that reads any word of
+  // this event therefore sees claimed_ > seq and discards the slot (the
+  // one holding event seq - capacity) that this write overwrites.
+  claimed_.store(seq + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   Slot& s = slots_[seq % capacity_];
   s.w0.store(ts_us, std::memory_order_relaxed);
   s.w1.store(pack_w1(static_cast<std::uint8_t>(kind), a),
@@ -106,9 +112,9 @@ std::vector<FlightEvent> FlightRing::snapshot(std::uint16_t lane) const {
   const std::uint64_t resident = std::min<std::uint64_t>(h1, capacity_);
   std::vector<FlightEvent> out;
   out.reserve(resident);
-  // Copy the candidate slots, then re-read head: any slot whose sequence
-  // could have been overwritten while we copied (seq + capacity < h2) is
-  // discarded, so no torn event survives.
+  // Copy the candidate slots, then re-read the writer's claim counter: any
+  // slot the writer may have started overwriting while we copied is
+  // discarded, so no torn event survives (DESIGN.md §18).
   struct Raw {
     std::uint64_t w0, w1, w2;
   };
@@ -120,13 +126,17 @@ std::vector<FlightEvent> FlightRing::snapshot(std::uint16_t lane) const {
     raw[i].w1 = s.w1.load(std::memory_order_relaxed);
     raw[i].w2 = s.w2.load(std::memory_order_relaxed);
   }
-  const std::uint64_t h2 = head_.load(std::memory_order_acquire);
+  // The acquire fence orders the relaxed slot loads above before the claim
+  // load below (an acquire load alone orders only what follows it).
+  std::atomic_thread_fence(std::memory_order_acquire);
+  const std::uint64_t claimed = claimed_.load(std::memory_order_relaxed);
   for (std::uint64_t i = 0; i < resident; ++i) {
     const std::uint64_t seq = first + i;
-    // The writer reuses slot (seq % capacity) for event seq + capacity; if
-    // that newer event was published before our second head read, our copy
-    // of this slot may be torn — discard it.
-    if (h2 > capacity_ && seq < h2 - capacity_) continue;
+    // Event seq + capacity reuses this slot. Once it is claimed
+    // (claimed > seq + capacity) it may be mid-write or already written:
+    // either way our copy may be torn — discard it. A quiescent ring has
+    // claimed == head, so every resident event survives.
+    if (seq + capacity_ < claimed) continue;
     FlightEvent e;
     e.ts_us = raw[i].w0;
     e.seq = seq;

@@ -85,8 +85,8 @@ struct FlightEvent {
 };
 
 /// Single-writer, fixed-capacity, drop-oldest event ring. record() is
-/// wait-free and allocation-free: three relaxed atomic stores plus a
-/// release publish of the new head.
+/// wait-free and allocation-free: a claim store, a release fence, three
+/// relaxed atomic stores and a release publish of the new head.
 class FlightRing {
  public:
   explicit FlightRing(std::size_t capacity);
@@ -131,6 +131,9 @@ class FlightRing {
   std::size_t capacity_;
   std::unique_ptr<Slot[]> slots_;
   std::atomic<std::uint64_t> head_{0};
+  /// Events whose write has begun: head_ + 1 while record() is writing,
+  /// head_ otherwise. Snapshots read it to find slots under overwrite.
+  std::atomic<std::uint64_t> claimed_{0};
 };
 
 /// The recorder: a fixed set of lanes created up front (no lane is ever

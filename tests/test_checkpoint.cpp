@@ -399,7 +399,6 @@ TEST(CheckpointCodec, OptionsDigestTracksByteAffectingFieldsOnly) {
   o = base;
   o.threads = 8;
   o.observe_cache_entries = 0;
-  o.fast_observe = false;
   o.checkpoint_dir = "/anywhere";
   o.resume = true;
   o.task_deadline_us = 12345;

@@ -10,8 +10,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -398,6 +400,61 @@ TEST(DaemonEndToEnd, DeterministicAgainstBatchMode) {
   const auto c = daemon.counters();
   EXPECT_EQ(c.offered, captures.size());
   EXPECT_EQ(c.offered, c.ingested + c.shed + c.malformed);
+}
+
+/// Shutdown lost-wakeup regression. A worker that has just finished the
+/// last admitted capture loops back to its wait predicate while the event
+/// loop, seeing admitted == ingested, stops the workers. Setting the stop
+/// flag under each shard's queue mutex closes that window, so every join()
+/// returns. Each round stops a daemon right after start() — idle, and with
+/// a capture still in flight. The rounds run on a helper thread under a
+/// deadline; a hung join() cannot be undone in-process, so a missed
+/// deadline reports the failure and aborts.
+TEST(DaemonLifecycle, ImmediateStopAfterStartNeverHangs) {
+  constexpr int kRounds = 100;
+  const auto captures = fixture().make_captures(4, 0x57);
+  std::atomic<int> done{0};
+  std::atomic<bool> setup_failed{false};
+  std::thread runner([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      DaemonConfig config;
+      config.shards = 2;
+      config.flight_events = 64;
+      config.database = &fixture().database;
+      NotaryDaemon daemon(config);
+      if (!daemon.start()) {
+        setup_failed = true;
+        return;
+      }
+      BlockingClient client;
+      if (i % 2 == 1) {
+        // Stop while the shard worker is finishing the last capture.
+        if (!client.connect_to(daemon.port()) ||
+            !client.send_capture(captures[i % captures.size()])) {
+          setup_failed = true;
+        }
+      }
+      daemon.request_stop();
+      daemon.join();
+      if (setup_failed) return;
+      ++done;
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (done < kRounds && !setup_failed &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (done < kRounds && !setup_failed) {
+    ADD_FAILURE() << "start()/request_stop()/join() hung after " << done
+                  << " of " << kRounds << " rounds";
+    std::fflush(stdout);
+    std::abort();
+  }
+  runner.join();
+  EXPECT_FALSE(setup_failed) << "daemon or client setup failed";
+  EXPECT_EQ(done, kRounds);
 }
 
 /// Overload: tiny queues + an artificial observe cost + a sender that

@@ -83,29 +83,36 @@ TEST(FlightRing, TinyCapacityIsClampedAndUsable) {
 // A concurrent reader must never observe a torn event: every snapshotted
 // event's fields must satisfy the writer's invariant (a, b, ts all derived
 // from seq), and seq ranges must stay consistent with drop accounting.
-TEST(FlightRing, ConcurrentSnapshotNeverTears) {
-  FlightRing ring(64);
-  std::atomic<bool> stop{false};
-  constexpr std::uint64_t kWrites = 200'000;
+// The writer records until the reader has taken its snapshots, and the
+// reader starts only once the ring has wrapped, so every snapshot races
+// the writer. std::jthread requests stop and joins on every exit path, so
+// a failed ASSERT returns cleanly instead of destroying a joinable thread.
+namespace {
+void expect_concurrent_snapshots_never_tear(std::size_t capacity) {
+  FlightRing ring(capacity);
+  constexpr int kSnapshots = 100'000;
+  std::uint64_t written = 0;  // read only after join
 
-  std::thread writer([&] {
-    for (std::uint64_t i = 0; i < kWrites; ++i) {
+  std::jthread writer([&](std::stop_token stop) {
+    std::uint64_t i = 0;
+    for (; !stop.stop_requested(); ++i) {
       ring.record(FlightEventKind::kAdmit,
                   static_cast<std::uint32_t>(i & 0xffffffffu), i * 7, i + 1);
     }
-    stop.store(true, std::memory_order_release);
+    written = i;
   });
+  while (ring.total() < 2 * capacity) std::this_thread::yield();
 
-  std::uint64_t snapshots = 0;
   std::uint64_t last_max_seq = 0;
-  while (!stop.load(std::memory_order_acquire)) {
+  for (int n = 0; n < kSnapshots; ++n) {
     const auto events = ring.snapshot(0);
-    ++snapshots;
+    ASSERT_LE(events.size(), capacity);
     for (const auto& e : events) {
       // seq IS the write index, so every word must match it exactly.
-      ASSERT_EQ(e.a, static_cast<std::uint32_t>(e.seq & 0xffffffffu));
-      ASSERT_EQ(e.b, e.seq * 7);
-      ASSERT_EQ(e.ts_us, e.seq + 1);
+      ASSERT_EQ(e.a, static_cast<std::uint32_t>(e.seq & 0xffffffffu))
+          << "seq " << e.seq;
+      ASSERT_EQ(e.b, e.seq * 7) << "seq " << e.seq;
+      ASSERT_EQ(e.ts_us, e.seq + 1) << "seq " << e.seq;
     }
     if (!events.empty()) {
       // Oldest-first ordering and monotonic progress between snapshots.
@@ -116,12 +123,23 @@ TEST(FlightRing, ConcurrentSnapshotNeverTears) {
       last_max_seq = events.back().seq + 1;
     }
   }
+  writer.request_stop();
   writer.join();
-  EXPECT_GT(snapshots, 0u);
-  EXPECT_EQ(ring.total(), kWrites);
-  EXPECT_EQ(ring.dropped(), kWrites - 64);
+  EXPECT_EQ(ring.total(), written);
+  EXPECT_EQ(ring.dropped(), written - capacity);
   // A quiescent snapshot is complete.
-  EXPECT_EQ(ring.snapshot(0).size(), 64u);
+  EXPECT_EQ(ring.snapshot(0).size(), capacity);
+}
+}  // namespace
+
+TEST(FlightRing, ConcurrentSnapshotNeverTears) {
+  expect_concurrent_snapshots_never_tear(64);
+}
+
+// Capacity 4 puts the writer on the slot the reader copies most of the
+// time: the adversarial case for the seq + capacity <= head guard.
+TEST(FlightRing, ConcurrentSnapshotNeverTearsAtCapacity4) {
+  expect_concurrent_snapshots_never_tear(4);
 }
 
 TEST(FlightRecorder, SerializeDecodeRoundTripIsLossless) {

@@ -1,8 +1,13 @@
 // ObserveCache correctness: collision verification, fault bypass,
-// deterministic eviction, fingerprint-era upgrades, and — the contract that
-// matters — bit-identical monitor state with the cache on, off, and with
-// the struct-reuse fast path on and off.
+// deterministic eviction, fingerprint-era upgrades, the masked key (hits
+// across fresh randoms and session ids, resumption still read per
+// connection), and — the contract that matters — bit-identical monitor
+// state with the cache on and off.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <span>
+#include <vector>
 
 #include "clients/catalog.hpp"
 #include "faults/injector.hpp"
@@ -182,8 +187,9 @@ TEST(ObserveCache, DeterministicFlushEvictionAtCapacity) {
   const Month m(2016, 1);
   std::vector<std::vector<std::uint8_t>> records;
   for (std::uint16_t i = 0; i < 12; ++i) {
-    auto ch = client_hello({0xc02f});
-    ch.random[0] = static_cast<std::uint8_t>(i);  // 12 distinct records
+    // 12 distinct keys: the suite lists differ (randoms would not — the
+    // key masks them).
+    auto ch = client_hello({0xc02f, static_cast<std::uint16_t>(0x0a00 + i)});
     records.push_back(ch.serialize_record());
   }
   const auto sr = server_hello(0xc02f).serialize_record();
@@ -225,34 +231,99 @@ TEST(ObserveCache, FaultTouchedCapturesBypassTheCache) {
   EXPECT_EQ(cs.server.inserts, 0u);
 }
 
-TEST(FastObserve, ByteIdenticalToSerializeParsePath) {
-  // Satellite proof for the documented fast path: the struct-reuse route
-  // and the serialize→parse route must produce identical monitor state on
-  // a real generated stream (resumption ids, fallback dances, TLS 1.3,
-  // failed handshakes, SSLv2 — everything the generator emits).
+// Hello records of a generated stream with the per-connection fields
+// re-drawn: a fresh random on both sides and fresh session-id bytes. A
+// server that echoed the client's session id echoes the fresh one, so
+// resumption survives; odd variants break the echo instead, so a cached
+// entry inserted by a resumed connection is hit by one that is not.
+std::vector<PassiveMonitor::WireCapture> fresh_randoms(
+    const std::vector<PassiveMonitor::WireCapture>& base, int variants,
+    std::uint64_t seed) {
+  constexpr std::size_t kRandom = tls::population::GenCache::kRandomOffset;
+  constexpr std::size_t kSid = tls::population::GenCache::kSessionIdOffset;
+  tls::core::Rng rng(seed);
+  const auto fill = [&](std::vector<std::uint8_t>& rec, std::size_t from,
+                        std::size_t len) {
+    for (std::size_t i = 0; i < len; ++i) {
+      rec[from + i] = static_cast<std::uint8_t>(rng.next());
+    }
+  };
+  std::vector<PassiveMonitor::WireCapture> out;
+  for (int v = 0; v < variants; ++v) {
+    for (auto cap : base) {
+      const std::size_t csid = cap.client[kSid - 1];
+      const std::size_t ssid = cap.server.empty() ? 0 : cap.server[kSid - 1];
+      const bool echoed =
+          csid > 0 && csid == ssid &&
+          std::equal(cap.client.begin() + kSid,
+                     cap.client.begin() + kSid + csid,
+                     cap.server.begin() + kSid);
+      fill(cap.client, kRandom, 32);
+      fill(cap.client, kSid, csid);
+      if (!cap.server.empty()) {
+        fill(cap.server, kRandom, 32);
+        if (echoed && v % 2 == 0) {
+          std::copy_n(cap.client.begin() + kSid, csid,
+                      cap.server.begin() + kSid);
+        } else {
+          fill(cap.server, kSid, ssid);
+        }
+      }
+      out.push_back(std::move(cap));
+    }
+  }
+  return out;
+}
+
+TEST(ObserveCache, MaskedKeyHitsAcrossFreshRandomsAndKeepsResumption) {
+  // Captures that differ only in their randoms and session ids share a
+  // key: they must hit, and every aggregate — resumption included — must
+  // equal a cache-off monitor fed the same captures.
   const auto catalog = tls::clients::Catalog::core_only();
   const auto servers = tls::servers::ServerPopulation::standard();
   const auto market = tls::population::MarketModel::standard(catalog);
+  tls::population::TrafficGenerator gen(market, servers, 31);
+  std::vector<PassiveMonitor::WireCapture> base;
+  gen.generate_month(Month(2016, 2), 400,
+                     [&](const tls::population::ConnectionEvent& ev) {
+                       if (ev.sslv2) return;
+                       PassiveMonitor::WireCapture cap;
+                       cap.month = ev.month;
+                       cap.day = ev.day;
+                       serialize_event_records(ev, cap.client, cap.server,
+                                               cap.ske, cap.alert);
+                       cap.success = ev.result.success;
+                       cap.used_fallback = ev.used_fallback;
+                       base.push_back(std::move(cap));
+                     });
+  const auto captures = fresh_randoms(base, 4, 5);
 
-  PassiveMonitor fast, slow;
-  fast.set_fast_observe(true);
-  slow.set_fast_observe(false);
-  // Disable both caches so this isolates the fast path itself.
-  fast.set_observe_cache_capacity(0);
-  slow.set_observe_cache_capacity(0);
-
-  for (auto* mon : {&fast, &slow}) {
-    tls::population::TrafficGenerator gen(market, servers, 4242);
-    gen.generate_range({Month(2014, 8), Month(2015, 2)}, 600,
-                       [&](const tls::population::ConnectionEvent& ev) {
-                         mon->observe(ev);
-                       });
+  PassiveMonitor off, per_capture, batched;
+  off.set_observe_cache_capacity(0);
+  for (auto* mon : {&off, &per_capture}) {
+    for (const auto& c : captures) {
+      mon->observe_wire(c.month, c.day, c.client, c.server, c.ske, c.success,
+                        c.used_fallback, c.alert);
+    }
   }
-  EXPECT_GT(fast.total_connections(), 0u);
-  expect_stats_equal(slow, fast);
+  for (std::size_t i = 0; i < captures.size(); i += 256) {
+    batched.observe_wire_batch(std::span(captures).subspan(
+        i, std::min<std::size_t>(256, captures.size() - i)));
+  }
+
+  std::uint64_t resumed = 0;
+  for (const auto& [m, s] : off.months()) resumed += s.resumed;
+  EXPECT_GT(resumed, 0u);
+  for (const auto* on : {&per_capture, &batched}) {
+    const auto& cs = on->observe_cache_stats();
+    // Far fewer distinct keys than captures: most lookups hit.
+    EXPECT_GT(cs.client.hits, captures.size() / 2);
+    EXPECT_GT(cs.server.hits, captures.size() / 2);
+    expect_stats_equal(off, *on);
+  }
 }
 
-TEST(FastObserve, SpanEntryPointMatchesPerEventObserve) {
+TEST(ObserveSpan, MatchesPerEventObserve) {
   const auto catalog = tls::clients::Catalog::core_only();
   const auto servers = tls::servers::ServerPopulation::standard();
   const auto market = tls::population::MarketModel::standard(catalog);

@@ -65,6 +65,7 @@ void expect_monitors_equal(const PassiveMonitor& a, const PassiveMonitor& b) {
     EXPECT_EQ(sa.successful, sb->successful) << m.to_string();
     EXPECT_EQ(sa.failures, sb->failures) << m.to_string();
     EXPECT_EQ(sa.quarantined, sb->quarantined) << m.to_string();
+    EXPECT_EQ(sa.resumed, sb->resumed) << m.to_string();
     EXPECT_EQ(sa.parse_errors(), sb->parse_errors()) << m.to_string();
     EXPECT_EQ(sa.negotiated_version(), sb->negotiated_version()) << m.to_string();
     EXPECT_EQ(sa.fingerprints, sb->fingerprints) << m.to_string();
@@ -116,41 +117,11 @@ TEST(ParallelStudy, FiguresByteIdenticalUnderFaults) {
   expect_monitors_equal(serial.monitor(), parallel.monitor());
 }
 
-TEST(ParallelStudy, FastObserveUnderFaultsByteIdentical) {
-  // The struct-reuse fast path now extends to fault-injected runs: the
-  // fault kind is rolled *before* serialization, so a kNone roll can skip
-  // the byte path entirely without shifting the injector's RNG stream.
-  // Contract: at a 10% fault rate, fast path on vs off is byte-identical.
-  auto base = small_options();
-  base.connections_per_month = 800;
-  base.faults = tls::faults::FaultConfig::uniform(0.10);
-
-  auto ref_opts = base;
-  ref_opts.fast_observe = false;
-  tls::study::LongitudinalStudy ref(ref_opts);
-  const auto ref_csv = chart_csv(ref);
-
-  // The faults actually bit in the reference run.
-  std::uint64_t quarantined = 0;
-  for (const auto& [m, s] : ref.monitor().months()) quarantined += s.quarantined;
-  EXPECT_GT(quarantined, 0u);
-
-  for (const unsigned threads : {0u, 8u}) {
-    SCOPED_TRACE(threads);
-    auto o = base;
-    o.threads = threads;
-    o.fast_observe = true;
-    tls::study::LongitudinalStudy fast(o);
-    EXPECT_EQ(chart_csv(fast), ref_csv);
-    expect_monitors_equal(ref.monitor(), fast.monitor());
-  }
-}
-
 TEST(ParallelStudy, CacheOnOffByteIdenticalAcrossThreadsAndFaults) {
-  // The ObserveCache and the struct-reuse fast path are pure accelerators:
-  // every figure CSV must be byte-identical with the cache on or off, at
-  // every thread count, with and without fault injection. The reference
-  // run disables both accelerators (pure serialize→parse byte path).
+  // The ObserveCache is a pure accelerator: every figure CSV must be
+  // byte-identical with the cache on or off, at every thread count, with
+  // and without fault injection. The reference run disables the cache
+  // (every record parsed).
   for (const double fault_rate : {0.0, 0.10}) {
     SCOPED_TRACE(fault_rate);
     auto base = small_options();
@@ -160,7 +131,6 @@ TEST(ParallelStudy, CacheOnOffByteIdenticalAcrossThreadsAndFaults) {
     }
     auto ref_opts = base;
     ref_opts.observe_cache_entries = 0;
-    ref_opts.fast_observe = false;
     tls::study::LongitudinalStudy ref(ref_opts);
     const auto ref_csv = chart_csv(ref);
 
@@ -171,16 +141,13 @@ TEST(ParallelStudy, CacheOnOffByteIdenticalAcrossThreadsAndFaults) {
         auto o = base;
         o.threads = threads;
         o.observe_cache_entries = cache_on ? 4096 : 0;
-        // Keep the byte path so the cache is exercised even at 0% faults
-        // (the fast path would otherwise skip serialization entirely).
-        o.fast_observe = false;
         tls::study::LongitudinalStudy study(o);
         EXPECT_EQ(chart_csv(study), ref_csv);
         expect_monitors_equal(ref.monitor(), study.monitor());
       }
     }
 
-    // Default configuration (fast path + cache, parallel) too.
+    // Default configuration (default-capacity cache, parallel) too.
     auto dflt_opts = base;
     dflt_opts.threads = 8;
     tls::study::LongitudinalStudy dflt(dflt_opts);
@@ -196,7 +163,6 @@ TEST(ParallelStudy, ExportedFilesByteIdenticalCacheOnVsOff) {
 
   auto opts = small_options();
   opts.connections_per_month = 600;
-  opts.fast_observe = false;
   auto off_opts = opts;
   off_opts.observe_cache_entries = 0;
   tls::study::LongitudinalStudy off(off_opts);

@@ -455,7 +455,6 @@ TEST(TelemetryResume, CacheAndErrorStatsSurviveResumeAndPartialIsFlagged) {
   auto o = tiny_options();
   o.telemetry = true;
   o.faults.bit_flip = 0.10;   // non-zero taxonomy totals
-  o.fast_observe = false;     // clean events hit the ObserveCache too
   o.checkpoint_dir = ckpt.string();
 
   std::uint64_t cold_errors = 0, cold_cache_lookups = 0;
