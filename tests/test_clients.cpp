@@ -140,6 +140,13 @@ struct TableRow {
   int tdes;
 };
 
+// gtest prints the parameter into the listed (and so the ctest) test name.
+// Without this it dumps the struct's raw bytes, which hold ASLR-dependent
+// string pointers and uninitialised padding, so the name changed every run.
+void PrintTo(const TableRow& row, std::ostream* os) {
+  *os << row.browser << ' ' << row.version;
+}
+
 class BrowserTableCounts : public ::testing::TestWithParam<TableRow> {};
 
 TEST_P(BrowserTableCounts, MatchesPaper) {
