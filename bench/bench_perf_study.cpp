@@ -20,7 +20,10 @@
 // Environment knobs (shared with the figure benches):
 //   TLS_STUDY_CPM      connections per month (default 20000 here)
 //   TLS_STUDY_SEED     simulation seed
-//   TLS_STUDY_THREADS  comma list of thread counts (default "0,2,4,8")
+//   TLS_STUDY_THREADS  comma list of StudyOptions::threads values (default
+//                      "0,2,4,8"). The "threads" column prints the total
+//                      thread count: N workers plus the calling thread,
+//                      which drains the grid too (0 runs on 1 thread).
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -95,7 +98,8 @@ int main() {
     std::snprintf(wall_s, sizeof(wall_s), "%.3f", wall);
     std::snprintf(speed_s, sizeof(speed_s), "%.2fx",
                   wall > 0 ? serial_wall / wall : 0.0);
-    rows.push_back({std::to_string(threads), wall_s, speed_s,
+    // Total threads: the workers plus the calling thread.
+    rows.push_back({std::to_string(threads + 1), wall_s, speed_s,
                     csv == serial_csv ? "bit-identical" : "MISMATCH"});
   }
   std::fputs(tls::analysis::render_table(rows).c_str(), stdout);

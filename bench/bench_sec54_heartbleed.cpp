@@ -52,7 +52,7 @@ int main() {
               100 * probed_2018);
 
   std::printf("vulnerability decay:\n");
-  for (const auto [y, mo] : std::initializer_list<std::pair<int, int>>{
+  for (const auto& [y, mo] : std::initializer_list<std::pair<int, int>>{
            {2014, 3}, {2014, 4}, {2014, 5}, {2014, 6}, {2014, 12},
            {2015, 6}, {2016, 6}, {2017, 6}, {2018, 5}}) {
     std::printf("  %d-%02d  %6.2f%%\n", y, mo,

@@ -251,7 +251,7 @@ void run_worker(const Options& opt, std::size_t index,
         }
         case 2: {  // bit-flipped checksum: daemon poisons + closes
           auto corrupt = frame;
-          corrupt[corrupt.size() - 1] ^= 0x01;
+          if (!corrupt.empty()) corrupt.back() ^= 0x01;
           if (!client.send_all(corrupt)) client.close();
           break;
         }

@@ -52,9 +52,11 @@ struct StudyOptions {
   /// Network model + retry budget for the active plane (default: ideal).
   tls::scan::ScanPolicy scan_policy{};
   /// Worker threads for the sharded runner. 0 (default) keeps everything
-  /// on the calling thread. Any value yields the same bytes: the shard
-  /// plan, the per-shard rng_stream(seed, month, shard) derivations, and
-  /// the (month, shard) merge order are all independent of thread count,
+  /// on the calling thread. N > 0 spawns N workers and the calling thread
+  /// drains the grid alongside them (ThreadPool::run), so N + 1 threads
+  /// run tasks. Any value yields the same bytes: the shard plan, the
+  /// per-shard rng_stream(seed, month, shard) derivations, and the
+  /// (month, shard) merge order are all independent of thread count,
   /// which only decides how shards are scheduled.
   unsigned threads = 0;
   /// Fixed shard fan-out per month. Part of the deterministic shard plan

@@ -15,6 +15,10 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <span>
 #include <sstream>
 
 #include "core/checkpoint.hpp"
@@ -287,39 +291,52 @@ bool NotaryDaemon::start() {
 }
 
 bool NotaryDaemon::open_journal() {
+  namespace fs = std::filesystem;
   journal_ = std::make_unique<JournalPlane>(config_.checkpoint_dir);
   auto segments = journal_->backend.list_segments();
   std::sort(segments.begin(), segments.end());
   std::uint32_t next_segment = 1;
   if (!segments.empty()) next_segment = segments.back() + 1;
+  // Where a degraded GroupCommitWriter writes epochs one file per frame.
+  const fs::path fallback_dir = fs::path(config_.checkpoint_dir) / "fallback";
 
   if (config_.resume) {
     // Scan-is-ground-truth replay: every checksummed group in every
-    // segment is a candidate; the newest valid epoch frame wins. Torn
-    // tails and foreign frames are simply skipped — worst case the daemon
+    // segment, and every epoch the degraded writer left in fallback/, is a
+    // candidate; the newest valid epoch frame wins. Torn tails, corrupt
+    // files and foreign frames are simply skipped — worst case the daemon
     // falls back one epoch and the sensors re-send.
     std::vector<std::uint8_t> best_payload;
     std::uint64_t best_slot = 0;
     bool found = false;
+    const auto consider = [&](std::span<const std::uint8_t> frame_bytes) {
+      try {
+        auto frame = tls::study::decode_frame(frame_bytes);
+        if (frame.options_digest != kDaemonOptionsDigest) return;
+        if (frame.header.kind != tls::study::FrameKind::kPassiveShard) return;
+        if (!found || frame.header.slot >= best_slot) {
+          best_slot = frame.header.slot;
+          best_payload = std::move(frame.payload);
+          found = true;
+        }
+      } catch (const tls::wire::ParseError&) {
+        // Corrupt frame: skip, older epochs remain.
+      }
+    };
     for (auto id : segments) {
       std::vector<std::uint8_t> bytes;
       if (!journal_->backend.read_segment(id, bytes)) continue;
-      auto scan = tls::study::scan_segment(bytes);
-      for (const auto& frame_bytes : scan.frames) {
-        try {
-          auto frame = tls::study::decode_frame(frame_bytes);
-          if (frame.options_digest != kDaemonOptionsDigest) continue;
-          if (frame.header.kind != tls::study::FrameKind::kPassiveShard)
-            continue;
-          if (!found || frame.header.slot >= best_slot) {
-            best_slot = frame.header.slot;
-            best_payload = std::move(frame.payload);
-            found = true;
-          }
-        } catch (const tls::wire::ParseError&) {
-          // Corrupt frame inside a valid group: skip, older epochs remain.
-        }
-      }
+      const auto scan = tls::study::scan_segment(bytes);
+      for (const auto& frame_bytes : scan.frames) consider(frame_bytes);
+    }
+    std::error_code ec;
+    for (const auto& entry : fs::directory_iterator(fallback_dir, ec)) {
+      if (entry.path().extension() != ".frame") continue;  // .tmp: torn
+      std::ifstream in(entry.path(), std::ios::binary);
+      const std::vector<std::uint8_t> bytes(
+          (std::istreambuf_iterator<char>(in)),
+          std::istreambuf_iterator<char>());
+      consider(bytes);
     }
     if (found) {
       try {
@@ -334,6 +351,8 @@ bool NotaryDaemon::open_journal() {
   } else {
     for (auto id : segments) journal_->backend.remove_segment(id);
     journal_->backend.clear_index();
+    std::error_code ec;
+    fs::remove_all(fallback_dir, ec);
     next_segment = 1;
   }
 
@@ -342,7 +361,7 @@ bool NotaryDaemon::open_journal() {
   wcfg.group_ms = config_.journal_group_ms;
   wcfg.options_digest = kDaemonOptionsDigest;
   wcfg.first_segment_id = next_segment;
-  wcfg.fallback_dir = config_.checkpoint_dir + "/fallback";
+  wcfg.fallback_dir = fallback_dir.string();
   journal_->writer = std::make_unique<tls::study::GroupCommitWriter>(
       &journal_->backend, wcfg, nullptr);
   return true;

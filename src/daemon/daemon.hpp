@@ -26,10 +26,13 @@
 // Threading model: one event-loop thread owns every socket (poll(2),
 // non-blocking IO, per-connection outbound buffers); `shards` worker
 // threads own one PassiveMonitor each and drain their bounded queue.
-// Captures are routed to a shard by FNV-1a-64 of the ClientHello record,
-// so identical hellos land on the same shard's ObserveCache. Workers
-// report completions back through a wake pipe; the event loop batches the
-// resolved credits into grant frames.
+// Captures are routed to a shard by FNV-1a-64 of the raw ClientHello
+// record. Every capture carries a fresh 32-byte random, so the hash is
+// effectively random per capture: routing spreads load evenly, but each
+// shard's ObserveCache sees every client configuration (routing on the
+// masked key, ObserveCache::make_key, would give each configuration one
+// shard). Workers report completions back through a wake pipe; the event
+// loop batches the resolved credits into grant frames.
 #pragma once
 
 #include <atomic>
@@ -60,9 +63,9 @@ struct DaemonConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read the actual one back via port().
   std::uint16_t port = 0;
-  /// Worker threads / monitor shards. Shard routing is content-hashed, so
-  /// the shard count changes cache locality but never any aggregate byte
-  /// (absorb is arrival-order-invariant over integer counters).
+  /// Worker threads / monitor shards. The shard count changes cache
+  /// locality but never any aggregate byte (absorb is
+  /// arrival-order-invariant over integer counters).
   std::size_t shards = 4;
   /// Bounded depth of each shard's ingest queue — the admission-control
   /// knob. A capture arriving at a full queue is shed (and counted).

@@ -212,10 +212,9 @@ void PassiveMonitor::observe_wire_batch(std::span<const WireCapture> caps) {
   const bool cache_on = cache_.enabled();
   if (batch_.slots.size() < caps.size()) batch_.slots.resize(caps.size());
 
-  // Build the cache key of every cacheable record, and lane-hash the keys
-  // (client and server sides in one batch) while the cache runs its
-  // production FNV-1a hash.
-  const bool lane_hash = cache_on && cache_.uses_default_hash();
+  // Build the cache key of every cacheable record and hash the keys of
+  // both sides in one batch: lane-interleaved FNV-1a for the production
+  // hash, the injected HashFn key by key otherwise.
   batch_.hash_inputs.clear();
   for (std::size_t i = 0; i < caps.size(); ++i) {
     const WireCapture& cap = caps[i];
@@ -224,13 +223,16 @@ void PassiveMonitor::observe_wire_batch(std::span<const WireCapture> caps) {
     if (!slot.use_cache) continue;
     ObserveCache::make_key(cap.client, slot.client_key);
     ObserveCache::make_key(cap.server, slot.server_key);
-    if (!lane_hash) continue;
     batch_.hash_inputs.push_back(slot.client_key);
     if (!slot.server_key.empty()) batch_.hash_inputs.push_back(slot.server_key);
   }
-  if (lane_hash) {
-    batch_.hashes.resize(batch_.hash_inputs.size());
+  batch_.hashes.resize(batch_.hash_inputs.size());
+  if (cache_.uses_default_hash()) {
     tls::fp::fnv1a64_batch(batch_.hash_inputs, batch_.hashes);
+  } else {
+    for (std::size_t k = 0; k < batch_.hash_inputs.size(); ++k) {
+      batch_.hashes[k] = cache_.hash_bytes(batch_.hash_inputs[k]);
+    }
   }
 
   // The find phase below hands out pointers into cache entries that must
@@ -249,24 +251,17 @@ void PassiveMonitor::observe_wire_batch(std::span<const WireCapture> caps) {
     slot.feats = nullptr;
     slot.errors.clear();
     slot.canon = -1;
-    slot.has_server_hash = false;
     if (tel_byte_ != nullptr) tel_byte_->add();
     if (!cap.cacheable && cache_on) cache_.count_bypass();
-    if (slot.use_cache) {
-      if (lane_hash) {
-        slot.client_hash = batch_.hashes[hash_cursor++];
-        if (!slot.server_key.empty()) {
-          slot.server_hash = batch_.hashes[hash_cursor++];
-          slot.has_server_hash = true;
-        }
-      } else {
-        slot.client_hash = cache_.hash_bytes(slot.client_key);
-      }
-    }
     const bool want_fp = cap.month >= fp_start();
     if (slot.use_cache) {
-      if (const auto hit = cache_.find_client_hashed(
-              slot.client_key, slot.client_hash, want_fp)) {
+      slot.client_hash = batch_.hashes[hash_cursor++];
+      // An empty server record has no hash; ingest never looks it up.
+      if (!slot.server_key.empty()) {
+        slot.server_hash = batch_.hashes[hash_cursor++];
+      }
+      if (const auto hit = cache_.find_client(slot.client_key,
+                                              slot.client_hash, want_fp)) {
         slot.kind = Slot::Kind::kHit;
         slot.hello = hit->hello;
         slot.feats = hit->features;
@@ -297,7 +292,8 @@ void PassiveMonitor::observe_wire_batch(std::span<const WireCapture> caps) {
   tls::fp::md5_batch(batch_.canonical_views, batch_.digests);
 
   // Phase C — complete label/insert and ingest per capture in the original
-  // order; each capture's mutation sequence is exactly observe_wire's.
+  // order, so the monitor's mutation sequence does not depend on how the
+  // captures were batched.
   for (std::size_t i = 0; i < caps.size(); ++i) {
     const WireCapture& cap = caps[i];
     Slot& slot = batch_.slots[i];
@@ -319,7 +315,10 @@ void PassiveMonitor::observe_wire_batch(std::span<const WireCapture> caps) {
         }
         client_clean = slot.errors.empty();
         if (slot.use_cache && client_clean) {
-          const auto inserted = cache_.insert_client_hashed(
+          // Only error-free extractions are memoized: repetitions of a
+          // record that produces errors must replay the taxonomy and
+          // quarantine writes.
+          const auto inserted = cache_.insert_client(
               slot.client_key, slot.client_hash, std::move(slot.owned_hello),
               std::move(slot.owned_feats));
           slot.hello = inserted.hello;
@@ -337,7 +336,7 @@ void PassiveMonitor::observe_wire_batch(std::span<const WireCapture> caps) {
     ingest_resolved(cap.month, cap.day, cap.client, *slot.hello, *slot.feats,
                     client_clean, cap.server, slot.server_key, cap.ske,
                     cap.success, cap.used_fallback, cap.alert, slot.use_cache,
-                    slot.has_server_hash ? &slot.server_hash : nullptr);
+                    slot.server_hash);
   }
 }
 
@@ -497,60 +496,20 @@ void PassiveMonitor::observe_wire(
     std::span<const std::uint8_t> server_key_exchange_record, bool success,
     bool used_fallback, std::span<const std::uint8_t> alert_record,
     bool cacheable) {
-  if (tel_byte_ != nullptr) tel_byte_->add();
-  using namespace tls::core;
-  const bool use_cache = cacheable && cache_.enabled();
-  if (!cacheable && cache_.enabled()) cache_.count_bypass();
-  const bool want_fp = m >= fp_start();
-  if (use_cache) {
-    ObserveCache::make_key(client_record, client_key_);
-    ObserveCache::make_key(server_record, server_key_);
-  }
-
-  // ---- client side: memoized feature extraction ----
-  const ClientHello* hello = nullptr;
-  const ClientHelloFeatures* feats = nullptr;
-  bool client_clean = true;
-  if (use_cache) {
-    if (const auto hit = cache_.find_client(client_key_, want_fp)) {
-      hello = hit->hello;
-      feats = hit->features;
-    }
-  }
-  if (feats == nullptr) {
-    try {
-      scratch_hello_ = ClientHello::parse_record(client_record);
-    } catch (const tls::wire::ParseError& e) {
-      note_error(m, IngestStage::kClientHello, e.code(), client_record);
-      quarantine_capture(m);
-      return;
-    }
-    scratch_errors_.clear();
-    build_client_features(scratch_hello_, database_, want_fp,
-                          scratch_features_, scratch_errors_);
-    for (const auto code : scratch_errors_) {
-      note_error(m, IngestStage::kClientHello, code, client_record);
-    }
-    client_clean = scratch_errors_.empty();
-    if (use_cache && client_clean) {
-      // Only error-free extractions are memoized: repetitions of a record
-      // that produces errors must replay the taxonomy/quarantine writes.
-      const auto inserted =
-          cache_.insert_client(client_key_, scratch_hello_,
-                               scratch_features_);
-      hello = inserted.hello;
-      feats = inserted.features;
-    } else {
-      if (use_cache) cache_.count_uncacheable();
-      hello = &scratch_hello_;
-      feats = &scratch_features_;
-    }
-  }
-
-  ingest_resolved(m, day, client_record, *hello, *feats, client_clean,
-                  server_record, server_key_, server_key_exchange_record,
-                  success, used_fallback, alert_record, use_cache,
-                  /*server_hash=*/nullptr);
+  if (batch_.captures.empty()) batch_.captures.resize(1);
+  WireCapture& cap = batch_.captures.front();
+  cap.month = m;
+  cap.day = day;
+  cap.client.assign(client_record.begin(), client_record.end());
+  cap.server.assign(server_record.begin(), server_record.end());
+  cap.ske.assign(server_key_exchange_record.begin(),
+                 server_key_exchange_record.end());
+  cap.alert.assign(alert_record.begin(), alert_record.end());
+  cap.success = success;
+  cap.used_fallback = used_fallback;
+  cap.cacheable = cacheable;
+  cap.one_sided_client = false;
+  observe_wire_batch({&cap, 1});
 }
 
 void PassiveMonitor::ingest_resolved(
@@ -561,7 +520,7 @@ void PassiveMonitor::ingest_resolved(
     std::span<const std::uint8_t> server_key,
     std::span<const std::uint8_t> server_key_exchange_record, bool success,
     bool used_fallback, std::span<const std::uint8_t> alert_record,
-    bool use_cache, const std::uint64_t* server_hash) {
+    bool use_cache, std::uint64_t server_hash) {
   using namespace tls::core;
   const ClientHello* hello = &hello_ref;
   const ClientHelloFeatures* feats = &feats_ref;
@@ -589,12 +548,8 @@ void PassiveMonitor::ingest_resolved(
   }
   const ServerHello* sh = nullptr;
   const ServerHelloFeatures* sfeats = nullptr;
-  const std::uint64_t sh_hash =
-      use_cache ? (server_hash != nullptr ? *server_hash
-                                          : cache_.hash_bytes(server_key))
-                : 0;
   if (use_cache) {
-    if (const auto hit = cache_.find_server_hashed(server_key, sh_hash)) {
+    if (const auto hit = cache_.find_server(server_key, server_hash)) {
       sh = hit->hello;
       sfeats = hit->features;
     }
@@ -616,9 +571,9 @@ void PassiveMonitor::ingest_resolved(
     if (derived) {
       if (use_cache) {
         // Move the parsed hello into the entry (scratch is reassigned on
-        // its next use); the hash computed for the lookup is reused.
-        const auto inserted = cache_.insert_server_hashed(
-            server_key, sh_hash, std::move(scratch_server_hello_),
+        // its next use); the hash of the lookup is reused.
+        const auto inserted = cache_.insert_server(
+            server_key, server_hash, std::move(scratch_server_hello_),
             scratch_server_features_);
         sh = inserted.hello;
         sfeats = inserted.features;

@@ -269,9 +269,9 @@ class PassiveMonitor {
   /// would see (serialize_event_records), runs them through the chaos tap
   /// when a fault injector is attached, and ingests the batch with
   /// observe_wire_batch. Records the tap touched bypass the observe cache.
-  /// Exported aggregates are byte-identical to observe_wire per capture:
-  /// the injector's roll/apply draws stay adjacent per event in stream
-  /// order, and the batch applies every capture in that order.
+  /// The injector's roll/apply draws stay adjacent per event in stream
+  /// order, and the batch applies every capture in that order, so the
+  /// span length never changes an exported byte.
   void observe_span(std::span<const tls::population::ConnectionEvent> events);
 
   /// One pre-serialized capture for observe_wire_batch — the fields of an
@@ -295,8 +295,9 @@ class PassiveMonitor {
   /// are the monitor's business. Allocations are kept across batches.
   class BatchBuffers {
     friend class PassiveMonitor;
-    // observe_span's serialized captures. Only a prefix is live per batch;
-    // the slots past it keep their buffers for the next one.
+    // observe_span's serialized captures (observe_wire's one capture is the
+    // first). Only a prefix is live per batch; the slots past it keep their
+    // buffers for the next one.
     std::vector<WireCapture> captures;
     // observe_wire_batch slots: per-capture client-record resolution.
     struct Slot {
@@ -311,8 +312,7 @@ class PassiveMonitor {
       std::ptrdiff_t canon = -1;  // index into canonicals
       std::vector<std::uint8_t> client_key, server_key;  // when use_cache
       std::uint64_t client_hash = 0;
-      std::uint64_t server_hash = 0;
-      bool has_server_hash = false;
+      std::uint64_t server_hash = 0;  // when use_cache and server_key is set
       bool use_cache = false;
     };
     std::vector<Slot> slots;
@@ -340,23 +340,25 @@ class PassiveMonitor {
     std::swap(batch_, state.buffers);
   }
 
-  /// Batched byte path: equivalent to calling observe_wire per capture, but
-  /// the cache-miss captures of the whole batch are resolved in phases —
-  /// lane-hashed bucket lookups (fnv1a64_batch), parse + feature build with
-  /// deferred digests, one md5_batch over the miss canonicals, then
-  /// parse/label/insert completed per capture in the original order. The
-  /// per-capture mutation sequence is identical to observe_wire's, so
-  /// exports stay byte-identical; only cache statistics may differ (a
-  /// within-batch duplicate counts as a second miss instead of a hit, and
-  /// generation flushes happen at batch boundaries).
+  /// The byte path — the one place client records are resolved. The
+  /// captures of a batch are resolved in phases: lane-hashed cache keys
+  /// (fnv1a64_batch), bucket lookups, parse + feature build with deferred
+  /// digests, one md5_batch over the miss canonicals, then label/insert and
+  /// ingest per capture in the original order. Exports depend only on the
+  /// captures and their order, never on how they are split into batches;
+  /// cache statistics do (a within-batch duplicate of a miss counts as a
+  /// second miss instead of a hit, and the headroom flush happens at batch
+  /// start — ObserveCache::ensure_client_headroom).
+  /// Never throws on hostile input: unparseable ClientHellos quarantine the
+  /// capture, and record-level failures elsewhere are counted per stage and
+  /// code. `cacheable=false` routes a capture around the observe cache
+  /// (used for fault-injected records).
   void observe_wire_batch(std::span<const WireCapture> captures);
 
-  /// The raw-tap entry point. `server_key_exchange_record` may be empty
-  /// (RSA key transport, TLS 1.3, or failed handshakes). Never throws on
-  /// hostile input: unparseable ClientHellos quarantine the capture, and
-  /// record-level failures elsewhere are counted per stage and code.
-  /// `cacheable=false` routes the capture around the observe cache (used
-  /// for fault-injected records).
+  /// The raw-tap entry point: observe_wire_batch over one capture (the
+  /// spans are copied into a reused WireCapture).
+  /// `server_key_exchange_record` may be empty (RSA key transport, TLS 1.3,
+  /// or failed handshakes).
   void observe_wire(tls::core::Month month, const tls::core::Date& day,
                     std::span<const std::uint8_t> client_hello_record,
                     std::span<const std::uint8_t> server_hello_record,
@@ -475,10 +477,10 @@ class PassiveMonitor {
   void observe_server_only(tls::core::Month m,
                            const tls::wire::ParsedFlight& flight);
 
-  /// Shared ingest tail of observe_wire / observe_wire_batch: everything
-  /// after the client record is resolved to (hello, features, clean).
-  /// `server_key` is the server record's cache key (read when use_cache)
-  /// and `server_hash` optionally carries its lane-precomputed bucket hash.
+  /// Ingest tail of observe_wire_batch: everything after the client record
+  /// is resolved to (hello, features, clean). `server_key` is the server
+  /// record's cache key and `server_hash` its hash (both read only when
+  /// use_cache).
   void ingest_resolved(tls::core::Month m, const tls::core::Date& day,
                        std::span<const std::uint8_t> client_record,
                        const tls::wire::ClientHello& hello,
@@ -488,7 +490,7 @@ class PassiveMonitor {
                        std::span<const std::uint8_t> ske_record, bool success,
                        bool used_fallback,
                        std::span<const std::uint8_t> alert_record,
-                       bool use_cache, const std::uint64_t* server_hash);
+                       bool use_cache, std::uint64_t server_hash);
 
   /// Applies memoized client features to the month (pure increments).
   void apply_client_features(MonthlyStats& s, tls::core::Month m,
@@ -518,14 +520,10 @@ class PassiveMonitor {
   // nodes have stable addresses, so caching the pointers is safe.
   tls::telemetry::Counter* tel_byte_ = nullptr;
   tls::telemetry::Counter* tel_sslv2_ = nullptr;
-  // Reusable scratch for the per-connection hot path (a monitor is
+  // Reusable server-side scratch of ingest_resolved (a monitor is
   // single-threaded; shard parallelism uses one monitor per shard).
-  tls::wire::ClientHello scratch_hello_;
   tls::wire::ServerHello scratch_server_hello_;
-  ClientHelloFeatures scratch_features_;
   ServerHelloFeatures scratch_server_features_;
-  std::vector<tls::wire::ParseErrorCode> scratch_errors_;
-  std::vector<std::uint8_t> client_key_, server_key_;
 
   BatchBuffers batch_;
 };

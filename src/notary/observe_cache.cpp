@@ -351,12 +351,6 @@ void ObserveCache::ensure_client_headroom(std::size_t n) {
 }
 
 std::optional<CachedClient> ObserveCache::find_client(
-    std::span<const std::uint8_t> key, bool require_fingerprint) {
-  if (!enabled()) return std::nullopt;
-  return find_client_hashed(key, hash_(key), require_fingerprint);
-}
-
-std::optional<CachedClient> ObserveCache::find_client_hashed(
     std::span<const std::uint8_t> key, std::uint64_t hash,
     bool require_fingerprint) {
   if (!enabled()) return std::nullopt;
@@ -392,15 +386,7 @@ std::optional<CachedClient> ObserveCache::find_client_hashed(
   return std::nullopt;
 }
 
-CachedClient ObserveCache::insert_client(std::span<const std::uint8_t> key,
-                                         const tls::wire::ClientHello& hello,
-                                         const ClientHelloFeatures& features) {
-  return insert_client_hashed(key, hash_(key),
-                              tls::wire::ClientHello(hello),
-                              ClientHelloFeatures(features));
-}
-
-CachedClient ObserveCache::insert_client_hashed(
+CachedClient ObserveCache::insert_client(
     std::span<const std::uint8_t> key, std::uint64_t hash,
     tls::wire::ClientHello&& hello, ClientHelloFeatures&& features) {
   clear_connection_fields(hello);
@@ -452,7 +438,7 @@ CachedClient ObserveCache::insert_client_hashed(
   return CachedClient{&slot.hello, &slot.features};
 }
 
-std::optional<CachedServer> ObserveCache::find_server_hashed(
+std::optional<CachedServer> ObserveCache::find_server(
     std::span<const std::uint8_t> key, std::uint64_t hash) {
   if (!enabled()) return std::nullopt;
   const auto tag = static_cast<std::uint32_t>(hash >> 32);
@@ -478,7 +464,7 @@ std::optional<CachedServer> ObserveCache::find_server_hashed(
   return std::nullopt;
 }
 
-CachedServer ObserveCache::insert_server_hashed(
+CachedServer ObserveCache::insert_server(
     std::span<const std::uint8_t> key, std::uint64_t hash,
     tls::wire::ServerHello&& hello, const ServerHelloFeatures& features) {
   clear_connection_fields(hello);

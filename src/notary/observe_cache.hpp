@@ -232,24 +232,9 @@ class ObserveCache {
   [[nodiscard]] static std::span<const std::uint8_t> session_id_of(
       std::span<const std::uint8_t> record);
 
-  /// Looks up a client key (make_key). `require_fingerprint` demands an
-  /// entry whose fingerprint era matches the observation month: an entry
-  /// memoized in the pre-fingerprint era reads as a miss so the caller
-  /// rebuilds (and insert_client upgrades it in place).
-  [[nodiscard]] std::optional<CachedClient> find_client(
-      std::span<const std::uint8_t> key, bool require_fingerprint);
-  CachedClient insert_client(std::span<const std::uint8_t> key,
-                             const tls::wire::ClientHello& hello,
-                             const ClientHelloFeatures& features);
-
-  // ---- batched-path variants ----
-  // The batch observe path hashes a whole generation of keys in SIMD lanes
-  // up front (tls::fp::fnv1a64_batch) and hands the hash back in, so each
-  // key is hashed exactly once across find + insert; the insert overloads
-  // take ownership instead of deep-copying the parsed hello.
-
   /// True while the cache runs its production hash — the precondition for
-  /// feeding it hashes from fnv1a64_batch (tests may inject another HashFn).
+  /// hashing keys with tls::fp::fnv1a64_batch (tests may inject another
+  /// HashFn, whose hashes the caller takes from hash_bytes instead).
   [[nodiscard]] bool uses_default_hash() const { return hash_ == &fnv1a64; }
   [[nodiscard]] std::uint64_t hash_bytes(
       std::span<const std::uint8_t> bytes) const {
@@ -257,27 +242,39 @@ class ObserveCache {
   }
 
   /// Pre-flushes the client side so that up to `n` subsequent inserts
-  /// cannot trigger a generation flush. Batch callers hold CachedClient
+  /// cannot trigger a generation flush. The monitor holds CachedClient
   /// pointers from a find phase across an insert phase; a flush between the
   /// two would dangle them. (If the flush leaves the side empty and `n`
-  /// still exceeds capacity, every batched find misses, so no pointer can
-  /// outlive a later flush either way.)
+  /// still exceeds capacity, every find of the batch misses, so no pointer
+  /// can outlive a later flush either way.) At an exactly-full side even a
+  /// one-capture batch flushes here, before its lookup — so a repeat of a
+  /// cached key right after the side fills counts as a miss where an
+  /// insert-time flush would have hit it. Only cache statistics see this.
   void ensure_client_headroom(std::size_t n);
 
-  [[nodiscard]] std::optional<CachedClient> find_client_hashed(
+  // Every find and insert takes the key's hash from the caller, which
+  // hashes a batch of keys at once (tls::fp::fnv1a64_batch), so each key
+  // is hashed exactly once across find + insert. Inserts take ownership of
+  // the parsed hello instead of deep-copying it.
+
+  /// Looks up a client key (make_key). `require_fingerprint` demands an
+  /// entry whose fingerprint era matches the observation month: an entry
+  /// memoized in the pre-fingerprint era reads as a miss so the caller
+  /// rebuilds (and insert_client upgrades it in place).
+  [[nodiscard]] std::optional<CachedClient> find_client(
       std::span<const std::uint8_t> key, std::uint64_t hash,
       bool require_fingerprint);
-  CachedClient insert_client_hashed(std::span<const std::uint8_t> key,
-                                    std::uint64_t hash,
-                                    tls::wire::ClientHello&& hello,
-                                    ClientHelloFeatures&& features);
+  CachedClient insert_client(std::span<const std::uint8_t> key,
+                             std::uint64_t hash,
+                             tls::wire::ClientHello&& hello,
+                             ClientHelloFeatures&& features);
 
-  [[nodiscard]] std::optional<CachedServer> find_server_hashed(
+  [[nodiscard]] std::optional<CachedServer> find_server(
       std::span<const std::uint8_t> key, std::uint64_t hash);
-  CachedServer insert_server_hashed(std::span<const std::uint8_t> key,
-                                    std::uint64_t hash,
-                                    tls::wire::ServerHello&& hello,
-                                    const ServerHelloFeatures& features);
+  CachedServer insert_server(std::span<const std::uint8_t> key,
+                             std::uint64_t hash,
+                             tls::wire::ServerHello&& hello,
+                             const ServerHelloFeatures& features);
 
   /// Exchanges entries, capacity and hash function with `other`; each side
   /// keeps its own statistics. The study lends a worker's warm cache to

@@ -101,7 +101,7 @@ bool probe_indicates_vulnerable(
     return false;
   }
   return m.type == HeartbeatMessageType::kResponse &&
-         m.payload.size() >= 2 + overread;
+         m.payload.size() >= std::size_t{2} + overread;
 }
 
 }  // namespace tls::wire

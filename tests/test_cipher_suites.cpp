@@ -81,8 +81,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Classification, AeadImpliesAeadMac) {
   for (const auto& s : all_cipher_suites()) {
-    if (is_aead(s)) EXPECT_EQ(s.mac, MacAlgorithm::kAead) << s.name;
-    if (s.mac == MacAlgorithm::kAead) EXPECT_TRUE(is_aead(s)) << s.name;
+    if (is_aead(s)) {
+      EXPECT_EQ(s.mac, MacAlgorithm::kAead) << s.name;
+    }
+    if (s.mac == MacAlgorithm::kAead) {
+      EXPECT_TRUE(is_aead(s)) << s.name;
+    }
   }
 }
 

@@ -159,9 +159,15 @@ TEST_P(BrowserTableCounts, MatchesPaper) {
     if (c.version_label == row.version) cfg = &c;
   }
   ASSERT_NE(cfg, nullptr) << row.browser << " " << row.version;
-  if (row.cbc >= 0) EXPECT_EQ(static_cast<int>(cfg->count_cbc()), row.cbc);
-  if (row.rc4 >= 0) EXPECT_EQ(static_cast<int>(cfg->count_rc4()), row.rc4);
-  if (row.tdes >= 0) EXPECT_EQ(static_cast<int>(cfg->count_3des()), row.tdes);
+  if (row.cbc >= 0) {
+    EXPECT_EQ(static_cast<int>(cfg->count_cbc()), row.cbc);
+  }
+  if (row.rc4 >= 0) {
+    EXPECT_EQ(static_cast<int>(cfg->count_rc4()), row.rc4);
+  }
+  if (row.tdes >= 0) {
+    EXPECT_EQ(static_cast<int>(cfg->count_3des()), row.tdes);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

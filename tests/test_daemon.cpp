@@ -18,11 +18,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "clients/catalog.hpp"
+#include "core/checkpoint.hpp"
 #include "core/study.hpp"
 #include "daemon/capture.hpp"
 #include "daemon/daemon.hpp"
@@ -626,6 +628,79 @@ TEST(DaemonEndToEnd, DrainWritesSnapshotAndResumeRestoresAggregate) {
     EXPECT_EQ(resumed_state, first_state);
     daemon.request_stop();
     daemon.join();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DaemonEndToEnd, ResumeReadsFallbackEpochsAndColdStartClearsThem) {
+  // A degraded group-commit writer puts epochs in <ckpt>/fallback/ one file
+  // per frame. Resume must read them like journal segments (newest epoch
+  // wins), and a cold start must not leave them for a later resume.
+  auto& fix = fixture();
+  const auto captures = fix.make_captures(20, 0xFA11);
+  const auto dir =
+      std::filesystem::temp_directory_path() / "tls_daemon_fallback_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto run_daemon = [&](bool resume, bool send) {
+    DaemonConfig config;
+    config.shards = 2;
+    config.database = &fix.database;
+    config.checkpoint_dir = dir.string();
+    config.resume = resume;
+    auto daemon = std::make_unique<NotaryDaemon>(config);
+    EXPECT_TRUE(daemon->start()) << daemon->last_error();
+    if (send) {
+      BlockingClient client;
+      EXPECT_TRUE(client.connect_to(daemon->port()));
+      for (const auto& capture : captures) {
+        EXPECT_TRUE(client.send_capture(capture));
+      }
+      std::string body;
+      EXPECT_TRUE(
+          client.query(FrameType::kQueryStats, FrameType::kStats, &body));
+    }
+    return daemon;
+  };
+
+  // The drain journals epoch 1 in a segment.
+  std::vector<std::uint8_t> segment_state;
+  {
+    auto daemon = run_daemon(false, true);
+    daemon->request_stop();
+    daemon->join();
+    segment_state =
+        tls::notary::encode_monitor_state(daemon->aggregate_monitor());
+  }
+  // A newer epoch that only the fallback path holds.
+  auto newer = tls::notary::decode_monitor_state(segment_state, &fix.database);
+  newer.observe_sslv2(tls::core::Month(2016, 1));
+  const auto fallback_state = tls::notary::encode_monitor_state(newer);
+  ASSERT_NE(fallback_state, segment_state);
+  tls::study::FrameHeader header;
+  header.kind = tls::study::FrameKind::kPassiveShard;
+  header.slot = 2;
+  const auto frame = tls::study::encode_frame(tls::daemon::kDaemonOptionsDigest,
+                                              header, fallback_state);
+  std::filesystem::create_directories(dir / "fallback");
+  {
+    std::ofstream out(dir / "fallback" / "epoch_2.frame", std::ios::binary);
+    out.write(reinterpret_cast<const char*>(frame.data()),
+              static_cast<std::streamsize>(frame.size()));
+  }
+  {
+    auto daemon = run_daemon(true, false);
+    EXPECT_EQ(daemon->resumed_epoch(), 2u);
+    EXPECT_EQ(tls::notary::encode_monitor_state(daemon->aggregate_monitor()),
+              fallback_state);
+    daemon->request_stop();
+    daemon->join();
+  }
+  {
+    auto daemon = run_daemon(false, false);
+    EXPECT_FALSE(std::filesystem::exists(dir / "fallback"));
+    daemon->request_stop();
+    daemon->join();
   }
   std::filesystem::remove_all(dir);
 }

@@ -894,7 +894,9 @@ TEST(Fuzz, DaemonCreditMachinesHoldInvariantsUnderRandomOps) {
                 gate.outstanding() + granted_back + gate.returnable());
       ASSERT_EQ(resolved, granted_back + gate.returnable());
       // take_grant drains fully.
-      if (gate.returnable() == 0) EXPECT_EQ(gate.take_grant(), 0u);
+      if (gate.returnable() == 0) {
+        EXPECT_EQ(gate.take_grant(), 0u);
+      }
     }
     // Quiesce: resolve everything outstanding; all credits come home.
     while (gate.outstanding() > 0) {

@@ -90,7 +90,7 @@ TEST(HeartbleedProbe, MatchesAnalyticFraction) {
   const auto pop = tls::servers::ServerPopulation::standard();
   const ActiveScanner scanner(pop);
   tls::core::Rng rng(404);
-  for (const auto [y, mo] :
+  for (const auto& [y, mo] :
        {std::pair{2014, 3}, std::pair{2014, 6}, std::pair{2016, 6}}) {
     const Month m(y, mo);
     const double analytic = scanner.scan(m).heartbleed_vulnerable;

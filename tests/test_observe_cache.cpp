@@ -95,15 +95,18 @@ TEST(ObserveCache, CollisionOnForcedSharedKeyIsVerifiedAway) {
   build_client_features(hb, nullptr, false, fb, errors);
   ASSERT_TRUE(errors.empty());
 
-  cache.insert_client(ra, ha, fa);
+  const auto hash_a = cache.hash_bytes(ra);
+  const auto hash_b = cache.hash_bytes(rb);
+  ASSERT_EQ(hash_a, hash_b);
+  cache.insert_client(ra, hash_a, ClientHello(ha), std::move(fa));
   // Distinct bytes, same 64-bit key: must be a miss, counted as collision.
-  EXPECT_FALSE(cache.find_client(rb, false).has_value());
+  EXPECT_FALSE(cache.find_client(rb, hash_b, false).has_value());
   EXPECT_EQ(cache.stats().client.collisions, 1u);
-  cache.insert_client(rb, hb, fb);
+  cache.insert_client(rb, hash_b, ClientHello(hb), std::move(fb));
 
   // Both entries now live on one chain; each lookup returns its own bytes.
-  const auto hit_a = cache.find_client(ra, false);
-  const auto hit_b = cache.find_client(rb, false);
+  const auto hit_a = cache.find_client(ra, hash_a, false);
+  const auto hit_b = cache.find_client(rb, hash_b, false);
   ASSERT_TRUE(hit_a.has_value());
   ASSERT_TRUE(hit_b.has_value());
   EXPECT_EQ(hit_a->hello->cipher_suites, ha.cipher_suites);
@@ -298,17 +301,23 @@ TEST(ObserveCache, MaskedKeyHitsAcrossFreshRandomsAndKeepsResumption) {
                      });
   const auto captures = fresh_randoms(base, 4, 5);
 
-  PassiveMonitor off, per_capture, batched;
+  // The capacity-4 monitor's 256-capture batches overflow its cache: each
+  // batch pre-flushes (ensure_client_headroom) and then flushes again
+  // mid-batch while inserting its misses.
+  PassiveMonitor off, per_capture, batched, tiny;
   off.set_observe_cache_capacity(0);
+  tiny.set_observe_cache_capacity(4);
   for (auto* mon : {&off, &per_capture}) {
     for (const auto& c : captures) {
       mon->observe_wire(c.month, c.day, c.client, c.server, c.ske, c.success,
                         c.used_fallback, c.alert);
     }
   }
-  for (std::size_t i = 0; i < captures.size(); i += 256) {
-    batched.observe_wire_batch(std::span(captures).subspan(
-        i, std::min<std::size_t>(256, captures.size() - i)));
+  for (auto* mon : {&batched, &tiny}) {
+    for (std::size_t i = 0; i < captures.size(); i += 256) {
+      mon->observe_wire_batch(std::span(captures).subspan(
+          i, std::min<std::size_t>(256, captures.size() - i)));
+    }
   }
 
   std::uint64_t resumed = 0;
@@ -321,6 +330,11 @@ TEST(ObserveCache, MaskedKeyHitsAcrossFreshRandomsAndKeepsResumption) {
     EXPECT_GT(cs.server.hits, captures.size() / 2);
     expect_stats_equal(off, *on);
   }
+  const auto& tiny_cs = tiny.observe_cache_stats();
+  const std::size_t batches = (captures.size() + 255) / 256;
+  EXPECT_GT(tiny_cs.client.flushes, batches);
+  EXPECT_GT(tiny_cs.client.inserts, tiny_cs.client.flushes);
+  expect_stats_equal(off, tiny);
 }
 
 TEST(ObserveSpan, MatchesPerEventObserve) {

@@ -275,7 +275,9 @@ TEST(Soak, ScannerCoverageClosesAtEveryLossLevel) {
         // the first try; from 10% up retries must show, and at 50% whole
         // hosts must be dead for the sweep.
         EXPECT_GT(snap.probe_retries, 0u);
-        if (level >= 0.50) EXPECT_GT(snap.unreachable, 0.0);
+        if (level >= 0.50) {
+          EXPECT_GT(snap.unreachable, 0.0);
+        }
       }
     }
   }
