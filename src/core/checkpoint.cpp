@@ -40,16 +40,6 @@ void write_double(ByteWriter& w, double v) {
 
 double read_double(ByteReader& r) { return std::bit_cast<double>(r.u64()); }
 
-/// Reads a whole file; returns false on any IO error (caller treats the
-/// frame as unreadable, i.e. corrupt).
-bool slurp_file(const fs::path& path, std::vector<std::uint8_t>& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out.assign(std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>());
-  return !in.bad();
-}
-
 /// EINTR/short-write-hardened temp+fsync+rename recipe (core/journal.cpp);
 /// the journal's IO taxonomy parameter is unused on this legacy path.
 bool write_file_atomic(const fs::path& path,
@@ -327,7 +317,7 @@ void RunJournal::replay() {
   bool accept_frames = false;
   if (config_.resume && fs::exists(manifest_path)) {
     std::vector<std::uint8_t> on_disk;
-    if (slurp_file(manifest_path, on_disk)) {
+    if (read_file(manifest_path.string(), on_disk)) {
       try {
         accept_frames = decode_manifest(on_disk) == config_.manifest;
       } catch (const ParseError&) {
@@ -374,7 +364,7 @@ void RunJournal::replay() {
       continue;
     }
     std::vector<std::uint8_t> bytes;
-    if (!slurp_file(path, bytes)) {
+    if (!read_file(path.string(), bytes)) {
       ++report_.frames_corrupt;
       quarantine_file(name);
       continue;

@@ -1,6 +1,7 @@
 #include "core/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -8,7 +9,6 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "faults/injector.hpp"
@@ -95,14 +95,6 @@ void fsync_dir(const fs::path& dir) {
     ::fsync(fd);
     ::close(fd);
   }
-}
-
-bool slurp(const fs::path& path, std::vector<std::uint8_t>& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out.assign(std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>());
-  return !in.bad();
 }
 
 }  // namespace
@@ -218,7 +210,7 @@ std::vector<std::uint32_t> PosixJournalBackend::list_segments() {
 
 bool PosixJournalBackend::read_segment(std::uint32_t id,
                                        std::vector<std::uint8_t>& out) {
-  if (!slurp(segment_path(id), out)) {
+  if (!read_file(segment_path(id), out)) {
     book(&errors_, JournalStage::kRead, EIO);
     return false;
   }
@@ -251,7 +243,7 @@ bool PosixJournalBackend::write_manifest(std::span<const std::uint8_t> bytes) {
 }
 
 bool PosixJournalBackend::read_manifest(std::vector<std::uint8_t>& out) {
-  return slurp(fs::path(directory_) / "MANIFEST", out);
+  return read_file((fs::path(directory_) / "MANIFEST").string(), out);
 }
 
 bool PosixJournalBackend::append_index(std::span<const std::uint8_t> bytes) {
@@ -269,7 +261,7 @@ bool PosixJournalBackend::append_index(std::span<const std::uint8_t> bytes) {
 }
 
 bool PosixJournalBackend::read_index(std::vector<std::uint8_t>& out) {
-  return slurp(fs::path(segments_dir_) / "INDEX", out);
+  return read_file((fs::path(segments_dir_) / "INDEX").string(), out);
 }
 
 bool PosixJournalBackend::clear_index() {
@@ -810,6 +802,34 @@ bool write_file_durable(const std::string& path,
     return false;
   }
   fsync_dir(fs::path(path).parent_path());
+  return true;
+}
+
+bool read_file(const std::string& path, std::vector<std::uint8_t>& out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return false;
+  }
+  // One byte past the stat size, so a file that grew since the fstat is
+  // noticed (and read to its end) instead of silently truncated.
+  out.resize(static_cast<std::size_t>(st.st_size) + 1);
+  std::size_t got = 0;
+  for (;;) {
+    if (got == out.size()) out.resize(out.size() * 2);
+    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return false;
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  out.resize(got);
   return true;
 }
 

@@ -444,4 +444,9 @@ bool write_file_durable(const std::string& path,
                         std::span<const std::uint8_t> bytes,
                         JournalErrorTaxonomy* errors = nullptr);
 
+/// Reads the whole file at `path` into `out` (replacing its contents):
+/// fstat for the size, then read(2) into the presized buffer, retrying
+/// EINTR. Returns false when the file cannot be opened or read.
+bool read_file(const std::string& path, std::vector<std::uint8_t>& out);
+
 }  // namespace tls::study

@@ -107,7 +107,11 @@ LongitudinalStudy::WorkerState& LongitudinalStudy::worker_state() {
   const std::lock_guard<std::mutex> lock(worker_mutex_);
   auto& slot = workers_[id];
   if (slot == nullptr) {
-    slot = std::make_unique<WorkerState>(*market_, servers_,
+    if (traffic_tables_ == nullptr) {
+      traffic_tables_ =
+          std::make_shared<tls::population::TrafficTables>(*market_, servers_);
+    }
+    slot = std::make_unique<WorkerState>(traffic_tables_,
                                          options_.observe_cache_entries);
   }
   return *slot;
@@ -136,10 +140,11 @@ std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
           tls::core::rng_stream_seed(options_.fault_seed, lane, shard));
       mon->set_fault_injector(injector.get());
     }
-    // Worker-local generator, re-seeded per task: every cache it carries
-    // is a pure function of the models, so the stream (and every exported
-    // byte) is identical to a freshly constructed generator's — but the
-    // gen-cache templates compile once per worker instead of once per task.
+    // Worker-local generator on the study's shared tables, re-seeded per
+    // task: the tables are a pure function of the models, so the stream
+    // (and every exported byte) is identical to a freshly constructed
+    // generator's — but the month tables, templates and plans are built
+    // once per study instead of once per worker or task.
     tls::population::TrafficGenerator& gen = worker.generator;
     gen.set_gen_cache(options_.gen_cache);
     gen.reseed(tls::core::rng_stream_seed(options_.seed, lane, shard));
@@ -188,14 +193,14 @@ std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
           .add();
       {
         // Deltas against the task-start snapshot: the worker generator's
-        // cache (and its stats) persists across tasks.
+        // stats persist across tasks.
         const auto& gs = gen.gen_cache_stats();
         const auto& gb = gen_stats_before;
         // template_hits and bypasses are per-connection facts (functions
         // of the plan); the warmth counters (misses, plan hits/misses,
-        // resident bytes) depend on which worker ran which tasks, so they
-        // carry the schedule-derived flag and stay out of the
-        // deterministic digest.
+        // resident bytes) depend on which task reached a template or plan
+        // first, so they carry the schedule-derived flag and stay out of
+        // the deterministic digest.
         struct GenCounter {
           const char* name;
           std::uint64_t value;

@@ -211,20 +211,23 @@ class LongitudinalStudy {
   std::unique_ptr<tls::faults::FaultInjector> frame_injector_;
   std::atomic<std::uint64_t> stuck_reruns_{0};
   /// Per-worker-thread state reused across shard tasks: the generator
-  /// (re-seeded per task) so the gen-cache templates compile once per
-  /// worker, and the monitor state each task's monitor borrows so the
-  /// observe cache stays warm. Both are pure accelerators: no exported
-  /// byte depends on which tasks a worker ran before.
+  /// (re-seeded per task), and the monitor state each task's monitor
+  /// borrows so the observe cache stays warm. Both are pure accelerators:
+  /// no exported byte depends on which tasks a worker ran before.
   struct WorkerState {
-    WorkerState(const tls::population::MarketModel& market,
-                const tls::servers::ServerPopulation& servers,
+    WorkerState(std::shared_ptr<tls::population::TrafficTables> tables,
                 std::size_t cache_entries)
-        : generator(market, servers, 0), observe(cache_entries) {}
+        : generator(std::move(tables), 0), observe(cache_entries) {}
     tls::population::TrafficGenerator generator;
     tls::notary::PassiveMonitor::WorkerState observe;
   };
-  /// Guarded by worker_mutex_ for slot creation; each thread only ever
-  /// touches its own state.
+  /// The traffic model every worker's generator draws from: month tables,
+  /// wire templates and negotiation plans, built once per study on the
+  /// first worker_state() call (not in the constructor, which must stay
+  /// cheap for studies that never generate).
+  std::shared_ptr<tls::population::TrafficTables> traffic_tables_;
+  /// Guarded by worker_mutex_ for slot creation (and traffic_tables_
+  /// creation); each thread only ever touches its own state.
   std::mutex worker_mutex_;
   std::unordered_map<std::thread::id, std::unique_ptr<WorkerState>>
       workers_;

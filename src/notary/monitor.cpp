@@ -369,26 +369,29 @@ void PassiveMonitor::observe_flights(
     return;
   }
 
+  // The re-serialized records go straight into the reused capture slot.
+  if (batch_.captures.empty()) batch_.captures.resize(1);
+  WireCapture& cap = batch_.captures.front();
+  cap.month = m;
+  cap.day = day;
+  cf.client_hello->serialize_record_into(cap.client);
+  cap.server.clear();
+  if (sf.server_hello.has_value()) {
+    sf.server_hello->serialize_record_into(cap.server);
+  }
+  cap.ske.clear();
+  if (sf.server_key_exchange.has_value()) {
+    sf.server_key_exchange->serialize_record_into(0x0303, cap.ske);
+  }
+  cap.alert.clear();
+  if (sf.alert.has_value()) sf.alert->serialize_record_into(0x0301, cap.alert);
   // §5.5: a session counts as established only when both directions carry
   // a ChangeCipherSpec.
-  const bool established = cf.change_cipher_spec && sf.change_cipher_spec;
-  std::vector<std::uint8_t> server_record;
-  if (sf.server_hello.has_value()) {
-    server_record = sf.server_hello->serialize_record();
-  }
-  std::vector<std::uint8_t> ske_record;
-  if (sf.server_key_exchange.has_value()) {
-    ske_record = sf.server_key_exchange->serialize_record(0x0303);
-  }
-  std::vector<std::uint8_t> alert_record;
-  if (sf.alert.has_value()) {
-    alert_record = sf.alert->serialize_record(0x0301);
-  }
-  const bool server_side_seen = !sf.records.empty();
-  observe_wire(m, day, cf.client_hello->serialize_record(), server_record,
-               ske_record, established, /*used_fallback=*/false,
-               alert_record);
-  if (!server_side_seen) ++stats(m).one_sided_client;
+  cap.success = cf.change_cipher_spec && sf.change_cipher_spec;
+  cap.used_fallback = false;
+  cap.cacheable = true;
+  cap.one_sided_client = sf.records.empty();
+  observe_wire_batch({&cap, 1});
 }
 
 void PassiveMonitor::set_telemetry(tls::telemetry::MetricsRegistry* registry) {

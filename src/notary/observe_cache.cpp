@@ -320,10 +320,16 @@ void ObserveCache::set_capacity(std::size_t capacity) {
   server_slots_.clear();
   client_size_ = 0;
   server_size_ = 0;
-  const std::size_t cells = probe_table_size(capacity_);
-  index_mask_ = cells - 1;
-  client_index_.assign(cells, IndexCell{});
-  server_index_.assign(cells, IndexCell{});
+  index_mask_ = probe_table_size(capacity_) - 1;
+  // The probe tables are allocated by the first lookup or insert
+  // (ensure_index): most caches — every shard monitor that borrows a
+  // worker's warm cache, every decoded snapshot's monitor — never do one.
+  client_index_ = {};
+  server_index_ = {};
+}
+
+void ObserveCache::ensure_index(std::vector<IndexCell>& index) {
+  if (index.empty()) index.assign(index_mask_ + 1, IndexCell{});
 }
 
 void ObserveCache::flush_client() {
@@ -354,6 +360,7 @@ std::optional<CachedClient> ObserveCache::find_client(
     std::span<const std::uint8_t> key, std::uint64_t hash,
     bool require_fingerprint) {
   if (!enabled()) return std::nullopt;
+  ensure_index(client_index_);
   const auto tag = static_cast<std::uint32_t>(hash >> 32);
   std::size_t pos = static_cast<std::size_t>(hash) & index_mask_;
   while (client_index_[pos].head1 != 0) {
@@ -390,6 +397,7 @@ CachedClient ObserveCache::insert_client(
     std::span<const std::uint8_t> key, std::uint64_t hash,
     tls::wire::ClientHello&& hello, ClientHelloFeatures&& features) {
   clear_connection_fields(hello);
+  ensure_index(client_index_);
   const auto tag = static_cast<std::uint32_t>(hash >> 32);
   std::size_t pos = static_cast<std::size_t>(hash) & index_mask_;
   while (client_index_[pos].head1 != 0 && client_index_[pos].tag != tag) {
@@ -441,6 +449,7 @@ CachedClient ObserveCache::insert_client(
 std::optional<CachedServer> ObserveCache::find_server(
     std::span<const std::uint8_t> key, std::uint64_t hash) {
   if (!enabled()) return std::nullopt;
+  ensure_index(server_index_);
   const auto tag = static_cast<std::uint32_t>(hash >> 32);
   std::size_t pos = static_cast<std::size_t>(hash) & index_mask_;
   while (server_index_[pos].head1 != 0) {
@@ -468,6 +477,7 @@ CachedServer ObserveCache::insert_server(
     std::span<const std::uint8_t> key, std::uint64_t hash,
     tls::wire::ServerHello&& hello, const ServerHelloFeatures& features) {
   clear_connection_fields(hello);
+  ensure_index(server_index_);
   if (server_size_ >= capacity_) {
     flush_server();
   }

@@ -214,8 +214,9 @@ class ObserveCache {
   }
 
   /// Capacity applies per side; 0 disables the cache. Changing the capacity
-  /// drops all entries (without touching eviction stats) and resizes the
-  /// probe tables.
+  /// drops all entries (without touching eviction stats) and frees the
+  /// probe tables; the first find or insert allocates them at the new
+  /// size, so a cache that is never used costs no table.
   void set_capacity(std::size_t capacity);
   void set_hash_for_test(HashFn hash) { hash_ = hash; }
 
@@ -335,6 +336,9 @@ class ObserveCache {
     std::uint32_t head1 = 0;
   };
 
+  /// Allocates a side's probe table (index_mask_ + 1 empty cells) if it
+  /// has none yet.
+  void ensure_index(std::vector<IndexCell>& index);
   void flush_client();
   void flush_server();
 

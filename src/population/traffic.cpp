@@ -36,28 +36,57 @@ ConnectionFlights synthesize_flights(const ConnectionEvent& event) {
   return flights;
 }
 
-TrafficGenerator::TrafficGenerator(
-    const MarketModel& market, const tls::servers::ServerPopulation& servers,
-    std::uint64_t seed)
-    : market_(market), servers_(servers), rng_(seed) {
+TrafficTables::TrafficTables(const MarketModel& market,
+                             const tls::servers::ServerPopulation& servers)
+    : market_(market), servers_(servers) {
   accept_unoffered_.reserve(market_.entries().size());
   for (const auto& e : market_.entries()) {
     accept_unoffered_.push_back(e.profile->name == "Interwise" ? 1 : 0);
   }
 }
 
-void TrafficGenerator::ensure_template_table() {
-  if (!gen_cache_enabled_ || !template_sets_.empty()) return;
-  const auto entries = market_.entries();
-  template_sets_.reserve(entries.size());
-  for (const auto& e : entries) {
-    std::vector<const GenCache::TemplateSet*> row;
-    row.reserve(e.profile->versions.size());
-    for (const auto& cfg : e.profile->versions) {
-      row.push_back(&gen_cache_.templates(cfg));
+TrafficGenerator::TrafficGenerator(
+    const MarketModel& market, const tls::servers::ServerPopulation& servers,
+    std::uint64_t seed)
+    : TrafficGenerator(std::make_shared<TrafficTables>(market, servers),
+                       seed) {}
+
+TrafficGenerator::TrafficGenerator(std::shared_ptr<TrafficTables> tables,
+                                   std::uint64_t seed)
+    : tables_(std::move(tables)),
+      market_(tables_->market()),
+      servers_(tables_->servers()),
+      rng_(seed) {}
+
+void TrafficTables::ensure_templates(GenCache::Stats& stats) {
+  std::call_once(templates_once_, [&] {
+    const auto entries = market_.entries();
+    std::uint32_t next_id = 0;
+    template_sets_.reserve(entries.size());
+    for (const auto& e : entries) {
+      std::vector<const GenCache::TemplateSet*> row;
+      row.reserve(e.profile->versions.size());
+      for (const auto& cfg : e.profile->versions) {
+        auto it = templates_.find(&cfg);
+        if (it == templates_.end()) {
+          GenCache::TemplateSet t = GenCache::compile(cfg);
+          t.id = next_id++;
+          ++stats.template_misses;
+          stats.template_bytes += t.base.wire.size() + t.resume.wire.size();
+          it = templates_.emplace(&cfg, std::move(t)).first;
+        }
+        row.push_back(&it->second);
+      }
+      template_sets_.push_back(std::move(row));
     }
-    template_sets_.push_back(std::move(row));
-  }
+    // One slot per possible plan key (see plan()): 16 flag combinations
+    // per (template, segment) pair.
+    plan_slot_count_ =
+        static_cast<std::size_t>(next_id) * servers_.segments().size() * 16;
+    plan_slots_ = std::make_unique<
+        std::atomic<const tls::handshake::NegotiationPlan*>[]>(
+        plan_slot_count_);
+  });
 }
 
 const ServerSegment& TrafficGenerator::route(const MarketEntry& entry,
@@ -102,9 +131,10 @@ const ServerSegment& TrafficGenerator::route(const MarketEntry& entry,
   return *last;
 }
 
-const TrafficGenerator::MonthCache& TrafficGenerator::cache_for(Month m) {
-  const auto it = cache_.find(m.index());
-  if (it != cache_.end()) return it->second;
+const TrafficTables::MonthCache& TrafficTables::month(Month m) {
+  const std::lock_guard<std::mutex> lock(month_mutex_);
+  const auto it = months_.find(m.index());
+  if (it != months_.end()) return it->second;
 
   MonthCache c;
   const auto entries = market_.entries();
@@ -157,7 +187,7 @@ const TrafficGenerator::MonthCache& TrafficGenerator::cache_for(Month m) {
     c.general.segments.emplace_back(&s, w);
     c.general.total += w;
   }
-  return cache_.emplace(m.index(), std::move(c)).first->second;
+  return months_.emplace(m.index(), std::move(c)).first->second;
 }
 
 GenCache::TemplateSet GenCache::compile(const tls::clients::ClientConfig& cfg) {
@@ -195,32 +225,29 @@ GenCache::TemplateSet GenCache::compile(const tls::clients::ClientConfig& cfg) {
   return t;
 }
 
-const GenCache::TemplateSet& GenCache::templates(
-    const tls::clients::ClientConfig& cfg) {
-  const auto it = templates_.find(&cfg);
-  if (it != templates_.end()) return it->second;
-  ++stats.template_misses;
-  TemplateSet t = compile(cfg);
-  t.id = next_id_++;
-  stats.template_bytes += t.base.wire.size() + t.resume.wire.size();
-  return templates_.emplace(&cfg, std::move(t)).first->second;
-}
-
-const tls::handshake::NegotiationPlan& GenCache::plan(
+const tls::handshake::NegotiationPlan& TrafficTables::plan(
     std::uint64_t key, const tls::wire::ClientHello& hello,
     const tls::servers::ServerConfig& server,
-    const tls::handshake::NegotiateOptions& opts) {
-  if (key >= plan_index_.size()) plan_index_.resize(key + 1, -1);
-  std::int32_t& slot = plan_index_[key];
-  if (slot >= 0) {
+    const tls::handshake::NegotiateOptions& opts, GenCache::Stats& stats) {
+  if (key >= plan_slot_count_) {
+    throw std::logic_error("gen-cache plan key out of range");
+  }
+  auto& slot = plan_slots_[key];
+  if (const auto* p = slot.load(std::memory_order_acquire)) {
     ++stats.plan_hits;
-    return *plan_store_[static_cast<std::size_t>(slot)];
+    return *p;
   }
   ++stats.plan_misses;
-  plan_store_.push_back(std::make_unique<tls::handshake::NegotiationPlan>(
-      tls::handshake::plan_negotiation(hello, server, opts)));
-  slot = static_cast<std::int32_t>(plan_store_.size() - 1);
-  return *plan_store_.back();
+  tls::handshake::NegotiationPlan fresh =
+      tls::handshake::plan_negotiation(hello, server, opts);
+  const std::lock_guard<std::mutex> lock(plan_mutex_);
+  // Another generator may have published this key since the load above;
+  // its plan is identical, so keep it and drop ours.
+  if (const auto* p = slot.load(std::memory_order_acquire)) return *p;
+  plan_store_.push_back(std::move(fresh));
+  const tls::handshake::NegotiationPlan* published = &plan_store_.back();
+  slot.store(published, std::memory_order_release);
+  return *published;
 }
 
 bool TrafficGenerator::generate_into(Month m, const MonthCache& cache,
@@ -279,16 +306,13 @@ bool TrafficGenerator::generate_into(Month m, const MonthCache& cache,
   }
 
   tls::handshake::NegotiateOptions opts;
-  opts.accept_unoffered_suite = accept_unoffered_[ei] != 0;
+  opts.accept_unoffered_suite = tables_->accept_unoffered_[ei] != 0;
 
   const GenCache::TemplateSet* ts =
-      gen_cache_enabled_ && !template_sets_.empty()
-          ? template_sets_[ei][vi]
-          : (gen_cache_enabled_ ? &gen_cache_.templates(*pick.config)
-                                : nullptr);
+      gen_cache_enabled_ ? tables_->template_sets_[ei][vi] : nullptr;
   if (ts != nullptr && !ts->bypass) {
     // ---- template fast path: memcpy + patch, identical RNG stream ----
-    ++gen_cache_.stats.template_hits;
+    ++stats_.template_hits;
     // The template working set (~1k scattered templates) misses cache on
     // nearly every pick; start the loads now so they overlap the 32-96
     // RNG draws below instead of stalling the copies.
@@ -328,7 +352,7 @@ bool TrafficGenerator::generate_into(Month m, const MonthCache& cache,
     const auto seg_index =
         static_cast<std::uint64_t>(&server - servers_.segments().data());
     // Dense memo key: (template, segment) pairs are contiguous so the plan
-    // cache can be a direct-indexed table. Low 4 bits = variant flags.
+    // cache can be a direct-indexed cache. Low 4 bits = variant flags.
     std::uint64_t key =
         (static_cast<std::uint64_t>(ts->id) * servers_.segments().size() +
          seg_index)
@@ -336,7 +360,8 @@ bool TrafficGenerator::generate_into(Month m, const MonthCache& cache,
     if (tm == &ts->resume) key |= 1u;
     if (opts.accept_unoffered_suite) key |= 2u;
     {
-      const auto& plan = gen_cache_.plan(key, ev.hello, server.config, opts);
+      const auto& plan =
+          tables_->plan(key, ev.hello, server.config, opts, stats_);
       tls::handshake::complete_negotiation_into(plan, ev.hello, rng_,
                                                 ev.result);
     }
@@ -355,14 +380,15 @@ bool TrafficGenerator::generate_into(Month m, const MonthCache& cache,
       // leg is rare enough that a re-serialize beats splicing the buffer.
       ev.hello.serialize_record_into(ev.client_record);
       key |= 4u | (scsv ? 8u : 0u);
-      const auto& fplan = gen_cache_.plan(key, ev.hello, server.config, opts);
+      const auto& fplan =
+          tables_->plan(key, ev.hello, server.config, opts, stats_);
       tls::handshake::complete_negotiation_into(fplan, ev.hello, rng_,
                                                 ev.result);
       ev.used_fallback = true;
     }
     return true;
   }
-  if (ts != nullptr) ++gen_cache_.stats.bypasses;
+  if (ts != nullptr) ++stats_.bypasses;
 
   ev.client_record.clear();
   ev.hello = tls::clients::make_client_hello(*pick.config, rng_, "host.test");
@@ -399,16 +425,14 @@ bool TrafficGenerator::generate_into(Month m, const MonthCache& cache,
   return true;
 }
 
-void TrafficGenerator::generate_one(Month m, const Sink& sink) {
-  ensure_template_table();
-  ConnectionEvent ev;
-  if (generate_into(m, cache_for(m), ev)) sink(ev);
+const TrafficTables::MonthCache& TrafficGenerator::prepare(Month m) {
+  if (gen_cache_enabled_) tables_->ensure_templates(stats_);
+  return tables_->month(m);
 }
 
 void TrafficGenerator::generate_month(Month m, std::size_t count,
                                       const Sink& sink) {
-  ensure_template_table();
-  const MonthCache& cache = cache_for(m);
+  const MonthCache& cache = prepare(m);
   for (std::size_t i = 0; i < count; ++i) {
     ConnectionEvent ev;
     if (generate_into(m, cache, ev)) sink(ev);
@@ -420,8 +444,7 @@ void TrafficGenerator::generate_month_batched(Month m, std::size_t count,
                                               const SpanSink& sink) {
   if (batch_size == 0) batch_size = 1;
   if (batch_.size() < batch_size) batch_.resize(batch_size);
-  ensure_template_table();
-  const MonthCache& cache = cache_for(m);
+  const MonthCache& cache = prepare(m);
   std::size_t filled = 0;
   for (std::size_t i = 0; i < count; ++i) {
     ConnectionEvent& ev = batch_[filled];

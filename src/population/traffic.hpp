@@ -5,9 +5,12 @@
 // stand-in for the Notary's campus taps.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -71,7 +74,8 @@ ConnectionFlights synthesize_flights(const ConnectionEvent& event);
 /// draws the identical RNG sequence per connection, so the event stream is
 /// bit-exact with the cache off. Configs whose hello is not
 /// connection-invariant (GREASE, cipher-order shuffling) are flagged
-/// `bypass` and take the legacy path.
+/// `bypass` and take the legacy path. The compiled templates and the plan
+/// memo live in TrafficTables; this class holds their types.
 class GenCache {
  public:
   /// Fixed offsets of the RNG-patched fields inside a serialized
@@ -96,6 +100,11 @@ class GenCache {
     WireTemplate resume;
     bool has_resume = false;
   };
+  /// One generator's activity. template_hits and bypasses count its
+  /// connections; template_misses/template_bytes count the compilations
+  /// it ran and plan_misses the plans it computed, so a generator that
+  /// shares its tables with others sees the misses another already paid
+  /// for as hits (or not at all, for templates).
   struct Stats {
     std::uint64_t template_hits = 0;    // connections filled from a template
     std::uint64_t template_misses = 0;  // template compilations
@@ -106,75 +115,33 @@ class GenCache {
   };
 
   /// Compiles `cfg` into its template set (exposed for the differential
-  /// fuzzer; the instance method `templates` memoizes per config).
+  /// fuzzer; TrafficTables compiles every catalog config once).
   static TemplateSet compile(const tls::clients::ClientConfig& cfg);
-
-  const TemplateSet& templates(const tls::clients::ClientConfig& cfg);
-  /// Memoized plan_negotiation. `key` must uniquely encode every input the
-  /// plan depends on: (template id, variant, server segment, options,
-  /// fallback/SCSV branch). Keys are dense — (id * nseg + seg) * 16 | flags
-  /// — so the memo is a direct-indexed table rather than a hash map (the
-  /// lookup is on the per-connection fast path). hello/server/opts are
-  /// only consulted on a miss. Returned references stay valid across later
-  /// insertions (plans live in stable heap slots).
-  const tls::handshake::NegotiationPlan& plan(
-      std::uint64_t key, const tls::wire::ClientHello& hello,
-      const tls::servers::ServerConfig& server,
-      const tls::handshake::NegotiateOptions& opts);
-
-  Stats stats;
-
- private:
-  std::unordered_map<const tls::clients::ClientConfig*, TemplateSet>
-      templates_;
-  std::vector<std::int32_t> plan_index_;  // dense key -> plan_store_ slot
-  std::vector<std::unique_ptr<tls::handshake::NegotiationPlan>> plan_store_;
-  std::uint32_t next_id_ = 0;
 };
 
-class TrafficGenerator {
+/// The traffic model's tables: everything a TrafficGenerator derives from
+/// the market and server models alone — the per-month sampling tables, the
+/// compiled wire templates and the memoized negotiation plans. None of it
+/// depends on a seed, so one instance can back the generators of every
+/// worker of a study (see DESIGN.md §15). Thread-safe: month tables are
+/// built once under a mutex, the template table under std::call_once, and
+/// plans are published into write-once slots (the memory-ordering argument
+/// is DESIGN.md §18). The models must outlive the tables.
+class TrafficTables {
  public:
-  TrafficGenerator(const MarketModel& market,
-                   const tls::servers::ServerPopulation& servers,
-                   std::uint64_t seed = 42);
+  TrafficTables(const MarketModel& market,
+                const tls::servers::ServerPopulation& servers);
+  TrafficTables(const TrafficTables&) = delete;
+  TrafficTables& operator=(const TrafficTables&) = delete;
 
-  using Sink = std::function<void(const ConnectionEvent&)>;
-  using SpanSink = std::function<void(std::span<const ConnectionEvent>)>;
-
-  /// Generates `count` connections during month m.
-  void generate_month(tls::core::Month m, std::size_t count,
-                      const Sink& sink);
-
-  /// Batched variant: events are accumulated in an internal reusable buffer
-  /// and delivered `batch_size` at a time (final batch may be short). Draws
-  /// the exact same RNG stream as generate_month, so the event sequence is
-  /// identical — only the delivery granularity changes. Pairs with
-  /// PassiveMonitor::observe_span to amortize per-connection call overhead.
-  void generate_month_batched(tls::core::Month m, std::size_t count,
-                              std::size_t batch_size, const SpanSink& sink);
-
-  /// Generates count-per-month connections over an inclusive month range.
-  void generate_range(tls::core::MonthRange range, std::size_t per_month,
-                      const Sink& sink);
-
-  /// Re-seeds the RNG stream in place. Every cache the generator carries
-  /// (month tables, templates, negotiation plans) is a pure function of
-  /// the market/server models, so a re-seeded generator draws exactly the
-  /// stream a freshly constructed one would — this is how the study runner
-  /// reuses one generator per worker across shard tasks instead of
-  /// recompiling every template per task.
-  void reseed(std::uint64_t seed) { rng_ = tls::core::Rng(seed); }
-
-  /// Toggles the GenCache template fast path (on by default). Off and on
-  /// draw the same RNG stream and emit field-identical events — the toggle
-  /// exists for benchmarking and for the byte-identity test matrix.
-  void set_gen_cache(bool enabled) { gen_cache_enabled_ = enabled; }
-  [[nodiscard]] bool gen_cache_enabled() const { return gen_cache_enabled_; }
-  [[nodiscard]] const GenCache::Stats& gen_cache_stats() const {
-    return gen_cache_.stats;
+  [[nodiscard]] const MarketModel& market() const { return market_; }
+  [[nodiscard]] const tls::servers::ServerPopulation& servers() const {
+    return servers_;
   }
 
  private:
+  friend class TrafficGenerator;
+
   /// Per-month sampling tables: cumulative entry weights and per-entry
   /// cumulative version shares, built once per month (the market model is
   /// piecewise-linear in months, so this is exact, not an approximation).
@@ -209,36 +176,123 @@ class TrafficGenerator {
     DestTable general;
   };
 
-  const MonthCache& cache_for(tls::core::Month m);
+  /// The tables of month m, built on first request. Takes the month mutex:
+  /// generators call it once per generate_month* call, not per connection.
+  const MonthCache& month(tls::core::Month m);
+
+  /// Compiles every catalog config's template set once (std::call_once),
+  /// so the per-connection path is a plain array deref. The compilations
+  /// are booked into `stats` of the caller that runs them.
+  void ensure_templates(GenCache::Stats& stats);
+
+  /// Memoized plan_negotiation. `key` must uniquely encode every input the
+  /// plan depends on: (template id, variant, server segment, options,
+  /// fallback/SCSV branch). Keys are dense — (id * nseg + seg) * 16 | flags
+  /// — so the memo is a direct-indexed table of write-once slots sized by
+  /// ensure_templates. hello/server/opts are only consulted on a miss,
+  /// which computes the plan outside any lock; racing misses on one slot
+  /// publish the first plan and drop the others (they are identical).
+  /// Returned references stay valid for the tables' lifetime.
+  const tls::handshake::NegotiationPlan& plan(
+      std::uint64_t key, const tls::wire::ClientHello& hello,
+      const tls::servers::ServerConfig& server,
+      const tls::handshake::NegotiateOptions& opts, GenCache::Stats& stats);
+
+  const MarketModel& market_;
+  const tls::servers::ServerPopulation& servers_;
+  /// Per-entry `profile->name == "Interwise"` (the accept-unoffered-suite
+  /// quirk), hoisted out of the per-connection path.
+  std::vector<std::uint8_t> accept_unoffered_;
+
+  std::mutex month_mutex_;
+  std::unordered_map<int, MonthCache> months_;  // guarded by month_mutex_
+
+  std::once_flag templates_once_;
+  /// Written once inside templates_once_, read-only afterwards.
+  std::unordered_map<const tls::clients::ClientConfig*, GenCache::TemplateSet>
+      templates_;
+  /// template_sets_[entry][version] -> templates_ entry, so the fast path
+  /// replaces a config-pointer hash lookup with two array indexes.
+  std::vector<std::vector<const GenCache::TemplateSet*>> template_sets_;
+
+  /// Plan memo: plan_slots_[key] is null until the plan for `key` is
+  /// published (release store under plan_mutex_, after the plan is in
+  /// plan_store_); readers load it with acquire. plan_store_ only grows,
+  /// under plan_mutex_, and std::deque never moves its elements.
+  std::unique_ptr<std::atomic<const tls::handshake::NegotiationPlan*>[]>
+      plan_slots_;
+  std::size_t plan_slot_count_ = 0;
+  std::mutex plan_mutex_;
+  std::deque<tls::handshake::NegotiationPlan> plan_store_;
+};
+
+class TrafficGenerator {
+ public:
+  /// A generator on its own private tables.
+  TrafficGenerator(const MarketModel& market,
+                   const tls::servers::ServerPopulation& servers,
+                   std::uint64_t seed = 42);
+  /// A generator on shared tables: any number of generators on one
+  /// TrafficTables, each on its own thread, draw exactly the streams they
+  /// would on private tables.
+  TrafficGenerator(std::shared_ptr<TrafficTables> tables, std::uint64_t seed);
+
+  using Sink = std::function<void(const ConnectionEvent&)>;
+  using SpanSink = std::function<void(std::span<const ConnectionEvent>)>;
+
+  /// Generates `count` connections during month m.
+  void generate_month(tls::core::Month m, std::size_t count,
+                      const Sink& sink);
+
+  /// Batched variant: events are accumulated in an internal reusable buffer
+  /// and delivered `batch_size` at a time (final batch may be short). Draws
+  /// the exact same RNG stream as generate_month, so the event sequence is
+  /// identical — only the delivery granularity changes. Pairs with
+  /// PassiveMonitor::observe_span to amortize per-connection call overhead.
+  void generate_month_batched(tls::core::Month m, std::size_t count,
+                              std::size_t batch_size, const SpanSink& sink);
+
+  /// Generates count-per-month connections over an inclusive month range.
+  void generate_range(tls::core::MonthRange range, std::size_t per_month,
+                      const Sink& sink);
+
+  /// Re-seeds the RNG stream in place. Everything in the generator's
+  /// tables is a pure function of the market/server models, so a
+  /// re-seeded generator draws exactly the stream a freshly constructed
+  /// one would — this is how the study runner reuses one generator per
+  /// worker across shard tasks.
+  void reseed(std::uint64_t seed) { rng_ = tls::core::Rng(seed); }
+
+  /// Toggles the GenCache template fast path (on by default). Off and on
+  /// draw the same RNG stream and emit field-identical events — the toggle
+  /// exists for benchmarking and for the byte-identity test matrix.
+  void set_gen_cache(bool enabled) { gen_cache_enabled_ = enabled; }
+  [[nodiscard]] bool gen_cache_enabled() const { return gen_cache_enabled_; }
+  [[nodiscard]] const GenCache::Stats& gen_cache_stats() const {
+    return stats_;
+  }
+
+ private:
+  using MonthCache = TrafficTables::MonthCache;
+
   const tls::servers::ServerSegment& route(const MarketEntry& entry,
                                            const MonthCache& cache);
   /// Samples one connection into `ev` (which must be freshly reset);
   /// returns false when the month has no live traffic for the draw (the
-  /// RNG advances identically either way). `cache` must be cache_for(m) —
-  /// hoisted to the per-month loops so the hot path skips the map lookup.
+  /// RNG advances identically either way). `cache` must be the tables of
+  /// m, fetched once by the per-month loops.
   bool generate_into(tls::core::Month m, const MonthCache& cache,
                      ConnectionEvent& ev);
-  void generate_one(tls::core::Month m, const Sink& sink);
+  /// Per-call set-up of the generate_month* loops: the template table (when
+  /// the gen cache is on) and the tables of month m.
+  const MonthCache& prepare(tls::core::Month m);
 
-  /// Builds template_sets_ (below) if the gen cache is on and it has not
-  /// been built yet; compiles every catalog config's template eagerly so
-  /// the per-connection path is a plain array deref.
-  void ensure_template_table();
-
+  std::shared_ptr<TrafficTables> tables_;
   const MarketModel& market_;
   const tls::servers::ServerPopulation& servers_;
   tls::core::Rng rng_;
-  /// Per-entry `profile->name == "Interwise"` (the accept-unoffered-suite
-  /// quirk), hoisted out of the per-connection path.
-  std::vector<std::uint8_t> accept_unoffered_;
-  /// template_sets_[entry][version] -> memoized GenCache::TemplateSet, so
-  /// the fast path replaces the per-connection config-pointer hash lookup
-  /// with two array indexes. Built lazily (first generated connection with
-  /// the cache on); empty while the cache is off.
-  std::vector<std::vector<const GenCache::TemplateSet*>> template_sets_;
-  std::unordered_map<int, MonthCache> cache_;
   std::vector<ConnectionEvent> batch_;  // reused by generate_month_batched
-  GenCache gen_cache_;
+  GenCache::Stats stats_;
   bool gen_cache_enabled_ = true;
 };
 

@@ -244,8 +244,7 @@ TEST(IndexCodec, RoundTripAndTornTailStopsCleanly) {
   EXPECT_EQ(tls::study::decode_index(blob), entries);
 
   // A torn final entry yields the intact prefix.
-  Bytes torn = blob;
-  torn.resize(torn.size() - 5);
+  const Bytes torn(blob.begin(), blob.end() - 5);
   EXPECT_EQ(tls::study::decode_index(torn).size(), 2u);
 
   // A corrupt middle entry stops the decode there (append-only sidecar:

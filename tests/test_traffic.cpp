@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "population/traffic.hpp"
 
 namespace tls::population {
@@ -140,6 +145,34 @@ TEST(Traffic, FallbackScsvAppearsAfterRfc7507) {
   EXPECT_TRUE(late_scsv);
 }
 
+// Field-by-field event equality, except client_record (the caller decides
+// what the record must be). hello/result are compared only for non-SSLv2
+// events, whose hello/result are unspecified.
+void expect_same_event(const ConnectionEvent& f, const ConnectionEvent& l,
+                       std::size_t i) {
+  ASSERT_EQ(f.month.index(), l.month.index()) << i;
+  ASSERT_EQ(f.day.year(), l.day.year()) << i;
+  ASSERT_EQ(f.day.month(), l.day.month()) << i;
+  ASSERT_EQ(f.day.day(), l.day.day()) << i;
+  ASSERT_EQ(f.client, l.client) << i;
+  ASSERT_EQ(f.config, l.config) << i;
+  ASSERT_EQ(f.server, l.server) << i;
+  ASSERT_EQ(f.sslv2, l.sslv2) << i;
+  ASSERT_EQ(f.used_fallback, l.used_fallback) << i;
+  if (f.sslv2) return;
+  ASSERT_TRUE(f.hello == l.hello) << i;
+  ASSERT_EQ(f.result.success, l.result.success) << i;
+  ASSERT_EQ(f.result.failure, l.result.failure) << i;
+  ASSERT_EQ(f.result.server_hello, l.result.server_hello) << i;
+  ASSERT_EQ(f.result.negotiated_version, l.result.negotiated_version) << i;
+  ASSERT_EQ(f.result.negotiated_cipher, l.result.negotiated_cipher) << i;
+  ASSERT_EQ(f.result.negotiated_group, l.result.negotiated_group) << i;
+  ASSERT_EQ(f.result.spec_violation, l.result.spec_violation) << i;
+  ASSERT_EQ(f.result.heartbeat_negotiated, l.result.heartbeat_negotiated)
+      << i;
+  ASSERT_EQ(f.result.resumed, l.result.resumed) << i;
+}
+
 // The GenCache template fast path must emit events field-identical to the
 // legacy build-every-hello path, from the same seed, across the 2015-04
 // FALLBACK_SCSV boundary (the fallback leg's SCSV branch switches there).
@@ -166,28 +199,8 @@ TEST(Traffic, GenCacheEventsMatchLegacyFieldByField) {
     for (std::size_t i = 0; i < a.size(); ++i) {
       const ConnectionEvent& f = a[i];
       const ConnectionEvent& l = b[i];
-      ASSERT_EQ(f.month.index(), l.month.index()) << i;
-      ASSERT_EQ(f.day.year(), l.day.year()) << i;
-      ASSERT_EQ(f.day.month(), l.day.month()) << i;
-      ASSERT_EQ(f.day.day(), l.day.day()) << i;
-      ASSERT_EQ(f.client, l.client) << i;
-      ASSERT_EQ(f.config, l.config) << i;
-      ASSERT_EQ(f.server, l.server) << i;
-      ASSERT_EQ(f.sslv2, l.sslv2) << i;
-      ASSERT_EQ(f.used_fallback, l.used_fallback) << i;
+      ASSERT_NO_FATAL_FAILURE(expect_same_event(f, l, i));
       if (f.sslv2) continue;  // hello/result unspecified for SSLv2 events
-      ASSERT_TRUE(f.hello == l.hello) << i;
-      ASSERT_EQ(f.result.success, l.result.success) << i;
-      ASSERT_EQ(f.result.failure, l.result.failure) << i;
-      ASSERT_EQ(f.result.server_hello, l.result.server_hello) << i;
-      ASSERT_EQ(f.result.negotiated_version, l.result.negotiated_version)
-          << i;
-      ASSERT_EQ(f.result.negotiated_cipher, l.result.negotiated_cipher) << i;
-      ASSERT_EQ(f.result.negotiated_group, l.result.negotiated_group) << i;
-      ASSERT_EQ(f.result.spec_violation, l.result.spec_violation) << i;
-      ASSERT_EQ(f.result.heartbeat_negotiated, l.result.heartbeat_negotiated)
-          << i;
-      ASSERT_EQ(f.result.resumed, l.result.resumed) << i;
       // Legacy path never pre-serializes; the fast path's bytes must match
       // a from-scratch serialization of the (identical) hello.
       ASSERT_TRUE(l.client_record.empty()) << i;
@@ -209,6 +222,109 @@ TEST(Traffic, EventDayWithinMonth) {
     EXPECT_GE(ev.day.day(), 1);
     EXPECT_LE(ev.day.day(), 28);
   });
+}
+
+// Generators on one fresh TrafficTables race on everything the tables
+// build lazily: four threads start together on the same month, so they
+// contend for the month-table build, the template std::call_once and —
+// two threads per seed draw identical key sequences — the same plan slots.
+// Every thread's stream must equal a private-table generator's with the
+// same seed, field by field, bytes included. Repeated over several fresh
+// tables, each raced on two months. Part of the ThreadSanitizer CI lane.
+TEST(TrafficTables, SharedTablesMatchPrivateUnderRace) {
+  const tls::clients::Catalog catalog = tls::clients::Catalog::standard();
+  const tls::servers::ServerPopulation servers =
+      tls::servers::ServerPopulation::standard();
+  const MarketModel market = MarketModel::standard(catalog);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kCount = 1200;
+  const Month months[] = {Month(2015, 3), Month(2016, 8)};
+  const auto seed_of = [](std::size_t t) { return 90 + t % 2; };
+
+  // Reference streams: private tables, one generator per seed, the same
+  // two months in the same order.
+  std::vector<std::vector<ConnectionEvent>> expected(2 * 2);
+  for (std::size_t s = 0; s < 2; ++s) {
+    TrafficGenerator gen(market, servers, seed_of(s));
+    for (std::size_t mi = 0; mi < 2; ++mi) {
+      gen.generate_month(months[mi], kCount, [&](const ConnectionEvent& ev) {
+        expected[s * 2 + mi].push_back(ev);
+      });
+    }
+  }
+
+  for (int round = 0; round < 5; ++round) {
+    const auto tables = std::make_shared<TrafficTables>(market, servers);
+    std::vector<std::vector<ConnectionEvent>> got(kThreads * 2);
+    std::latch start(static_cast<std::ptrdiff_t>(kThreads));
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        TrafficGenerator gen(tables, seed_of(t));
+        start.arrive_and_wait();
+        for (std::size_t mi = 0; mi < 2; ++mi) {
+          gen.generate_month(months[mi], kCount,
+                             [&](const ConnectionEvent& ev) {
+                               got[t * 2 + mi].push_back(ev);
+                             });
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      for (std::size_t mi = 0; mi < 2; ++mi) {
+        const auto& a = got[t * 2 + mi];
+        const auto& b = expected[(t % 2) * 2 + mi];
+        ASSERT_EQ(a.size(), b.size()) << "round " << round << " thread " << t;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          ASSERT_NO_FATAL_FAILURE(expect_same_event(a[i], b[i], i))
+              << "round " << round << " thread " << t << " month " << mi;
+          ASSERT_EQ(a[i].client_record, b[i].client_record)
+              << "round " << round << " thread " << t << " event " << i;
+        }
+      }
+    }
+  }
+}
+
+// A generator on private tables books exactly the gen-cache activity it
+// did when every generator owned its caches: every template compiled once
+// (misses, bytes), one plan per distinct key. The figures below were
+// recorded with the per-generator caches. A generator on tables another
+// generator has warmed sees the same per-connection counts (hits,
+// bypasses, plan lookups) but no template compilation and fewer misses.
+TEST(TrafficTables, PrivateTablesKeepGenCacheStats) {
+  const tls::clients::Catalog catalog = tls::clients::Catalog::standard();
+  const tls::servers::ServerPopulation servers =
+      tls::servers::ServerPopulation::standard();
+  const MarketModel market = MarketModel::standard(catalog);
+  const auto run = [&](TrafficGenerator& gen) {
+    gen.generate_month(Month(2015, 4), 3000, [](const ConnectionEvent&) {});
+    gen.generate_month_batched(Month(2016, 1), 3000, 256,
+                               [](std::span<const ConnectionEvent>) {});
+    return gen.gen_cache_stats();
+  };
+  TrafficGenerator standalone(market, servers, 77);
+  const GenCache::Stats s = run(standalone);
+  EXPECT_EQ(s.template_hits, 5952u);
+  EXPECT_EQ(s.bypasses, 48u);
+  EXPECT_EQ(s.template_misses, 1574u);
+  EXPECT_EQ(s.template_bytes, 500700u);
+  EXPECT_EQ(s.plan_hits, 4784u);
+  EXPECT_EQ(s.plan_misses, 1171u);
+
+  const auto tables = std::make_shared<TrafficTables>(market, servers);
+  TrafficGenerator warm(tables, 5);
+  run(warm);
+  TrafficGenerator shared(tables, 77);
+  const GenCache::Stats w = run(shared);
+  EXPECT_EQ(w.template_hits, s.template_hits);
+  EXPECT_EQ(w.bypasses, s.bypasses);
+  EXPECT_EQ(w.template_misses, 0u);
+  EXPECT_EQ(w.template_bytes, 0u);
+  EXPECT_EQ(w.plan_hits + w.plan_misses, s.plan_hits + s.plan_misses);
+  EXPECT_LT(w.plan_misses, s.plan_misses);
 }
 
 }  // namespace
