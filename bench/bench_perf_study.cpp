@@ -295,59 +295,6 @@ int main() {
     return 1;
   }
 
-  // ---- gen-cache: template fast path vs legacy generation ----
-  // Two serial telemetry-enabled runs (no journal) differing only in the
-  // gen_cache toggle. The generate-phase histogram isolates producer time
-  // exactly; figures must stay byte-identical (the toggle's contract), and
-  // the >=2x generate-phase speedup is logged against its target.
-  std::printf("\n== generate phase: gen-cache off vs on ==\n");
-  struct GenLane {
-    const char* label;
-    bool on;
-    double wall = 0;
-    double gen_s = 0;
-    bool identical = false;
-  };
-  GenLane glanes[] = {
-      {"gen-cache off", false},
-      {"gen-cache on", true},
-  };
-  for (GenLane& lane : glanes) {
-    auto gopts = opts;
-    gopts.threads = 0;
-    gopts.telemetry = true;
-    gopts.gen_cache = lane.on;
-    tls::study::LongitudinalStudy study(gopts);
-    lane.wall = bench::timed_seconds([&] { study.run(); });
-    lane.identical =
-        tls::analysis::to_csv(study.figure2_negotiated_classes()) ==
-        serial_csv;
-    lane.gen_s =
-        static_cast<double>(hist_sum_us(
-            study.metrics(), "tls_repro_pipeline_generate_us")) /
-        1e6;
-  }
-  std::vector<std::vector<std::string>> grows;
-  grows.push_back({"config", "wall (s)", "generate phase (s)", "figures"});
-  for (const GenLane& lane : glanes) {
-    char wall_b[32], gen_b[32];
-    std::snprintf(wall_b, sizeof(wall_b), "%.3f", lane.wall);
-    std::snprintf(gen_b, sizeof(gen_b), "%.3f", lane.gen_s);
-    grows.push_back({lane.label, wall_b, gen_b,
-                     lane.identical ? "bit-identical" : "MISMATCH"});
-  }
-  std::fputs(tls::analysis::render_table(grows).c_str(), stdout);
-  const double gen_speedup =
-      glanes[1].gen_s > 0 ? glanes[0].gen_s / glanes[1].gen_s : 0.0;
-  std::printf("generate phase: %.2fx faster with gen-cache on; "
-              "target >= 2x: %s\n",
-              gen_speedup,
-              gen_speedup >= 2.0 ? "met" : "missed (logged, not gated)");
-  if (!glanes[0].identical || !glanes[1].identical) {
-    std::fprintf(stderr, "FAIL: gen-cache toggle changed exported bytes\n");
-    return 1;
-  }
-
   if (grouped.frames > 0 && grouped.fsyncs >= grouped.frames) {
     std::fprintf(stderr,
                  "FAIL: group commit issued %llu fsyncs for %llu frames "

@@ -3,7 +3,7 @@
 //   study_cli figure <1..10>          render one paper figure as ASCII
 //   study_cli scan [YYYY-MM]          one Censys-style sweep (default window)
 //   study_cli export <dir> [--checkpoint-dir <ckpt>] [--resume]
-//                    [--journal-mode <frame|group>] [--gen-cache <on|off>]
+//                    [--journal-mode <frame|group>]
 //                    [--journal-group-frames <n>] [--journal-group-ms <t>]
 //                    [--metrics-out <file>] [--trace-out <file>]
 //                                     write all figures + scans as CSV;
@@ -19,10 +19,6 @@
 //                                     the legacy one-durable-file-per-frame
 //                                     store. Either mode resumes a journal
 //                                     written by the other;
-//                                     --gen-cache toggles the producer-side
-//                                     template/negotiation cache (default
-//                                     on; off is a byte-identical slow
-//                                     path for benchmarking);
 //                                     --metrics-out writes METRICS.json (plus
 //                                     a .prom Prometheus exposition next to
 //                                     it) and prints the run report;
@@ -135,7 +131,7 @@ int usage() {
   std::fputs(
       "usage: study_cli figure <1..10> | scan [YYYY-MM] |\n"
       "       export <dir> [--checkpoint-dir <ckpt>] [--resume]\n"
-      "              [--journal-mode <frame|group>] [--gen-cache <on|off>]\n"
+      "              [--journal-mode <frame|group>]\n"
       "              [--journal-group-frames <n>] [--journal-group-ms <t>]\n"
       "              [--metrics-out <file>] [--trace-out <file>] |\n"
       "       fingerprints <file> | identify <hex-client-hello-record>\n",
@@ -198,23 +194,13 @@ std::string prometheus_path(const std::string& metrics_path) {
 }
 
 int cmd_export(const char* dir, const char* checkpoint_dir, bool resume,
-               const char* journal_mode, const char* gen_cache,
-               long journal_group_frames, long journal_group_ms,
-               const char* metrics_out, const char* trace_out) {
+               const char* journal_mode, long journal_group_frames,
+               long journal_group_ms, const char* metrics_out,
+               const char* trace_out) {
   auto opts = options_from_env();
   if (checkpoint_dir != nullptr) {
     opts.checkpoint_dir = checkpoint_dir;
     opts.resume = resume;
-  }
-  if (gen_cache != nullptr) {
-    if (std::strcmp(gen_cache, "on") == 0) {
-      opts.gen_cache = true;
-    } else if (std::strcmp(gen_cache, "off") == 0) {
-      opts.gen_cache = false;
-    } else {
-      std::fprintf(stderr, "export: unknown --gen-cache '%s'\n", gen_cache);
-      return 2;
-    }
   }
   if (journal_mode != nullptr) {
     if (std::strcmp(journal_mode, "frame") == 0) {
@@ -330,7 +316,6 @@ int main(int argc, char** argv) {
     const char* metrics_out = nullptr;
     const char* trace_out = nullptr;
     const char* journal_mode = nullptr;
-    const char* gen_cache = nullptr;
     long journal_group_frames = 0;  // 0 = keep the StudyOptions default
     long journal_group_ms = -1;     // -1 = keep the StudyOptions default
     bool resume = false;
@@ -342,8 +327,6 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(argv[i], "--journal-mode") == 0 &&
                  i + 1 < argc) {
         journal_mode = argv[++i];
-      } else if (std::strcmp(argv[i], "--gen-cache") == 0 && i + 1 < argc) {
-        gen_cache = argv[++i];
       } else if (std::strcmp(argv[i], "--journal-group-frames") == 0 &&
                  i + 1 < argc) {
         // A zero-frame group can never commit; reject it with the garbage.
@@ -364,8 +347,8 @@ int main(int argc, char** argv) {
       }
     }
     return cmd_export(argv[2], checkpoint_dir, resume, journal_mode,
-                      gen_cache, journal_group_frames, journal_group_ms,
-                      metrics_out, trace_out);
+                      journal_group_frames, journal_group_ms, metrics_out,
+                      trace_out);
   }
   if (cmd == "fingerprints" && argc == 3) return cmd_fingerprints(argv[2]);
   if (cmd == "identify" && argc == 3) return cmd_identify(argv[2]);

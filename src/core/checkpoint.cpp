@@ -67,8 +67,8 @@ std::uint64_t options_digest(const StudyOptions& options) {
   // Canonical encoding of every byte-affecting option. Field order is part
   // of the format: changing it (or what is included) orphans old journals,
   // which is the safe failure mode. Deliberately absent: the pure
-  // performance toggles (observe_cache_entries, gen_cache,
-  // telemetry, the journal knobs) — none of them changes an exported byte,
+  // performance toggles (observe_cache_entries, telemetry, the journal
+  // knobs) — none of them changes an exported byte,
   // so a run may resume with any of them flipped.
   ByteWriter w;
   w.u64(options.seed);

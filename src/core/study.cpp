@@ -146,7 +146,6 @@ std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
     // generator's — but the month tables, templates and plans are built
     // once per study instead of once per worker or task.
     tls::population::TrafficGenerator& gen = worker.generator;
-    gen.set_gen_cache(options_.gen_cache);
     gen.reseed(tls::core::rng_stream_seed(options_.seed, lane, shard));
     const auto gen_stats_before = gen.gen_cache_stats();
     const auto deadline =
@@ -196,8 +195,8 @@ std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
         // stats persist across tasks.
         const auto& gs = gen.gen_cache_stats();
         const auto& gb = gen_stats_before;
-        // template_hits and bypasses are per-connection facts (functions
-        // of the plan); the warmth counters (misses, plan hits/misses,
+        // template_hits is a per-connection fact (a function of the
+        // plan); the warmth counters (misses, plan hits/misses,
         // resident bytes) depend on which task reached a template or plan
         // first, so they carry the schedule-derived flag and stay out of
         // the deterministic digest.
@@ -209,8 +208,6 @@ std::unique_ptr<tls::notary::PassiveMonitor> LongitudinalStudy::compute_shard(
         const GenCounter gen_counters[] = {
             {"tls_repro_gen_cache_template_hits_total",
              gs.template_hits - gb.template_hits, false},
-            {"tls_repro_gen_cache_bypass_total", gs.bypasses - gb.bypasses,
-             false},
             {"tls_repro_gen_cache_template_misses_total",
              gs.template_misses - gb.template_misses, true},
             {"tls_repro_gen_cache_plan_hits_total",

@@ -67,13 +67,6 @@ struct StudyOptions {
   /// worker thread keeps one cache across its shard tasks. Cache state
   /// never changes any exported byte — only throughput.
   std::size_t observe_cache_entries = tls::notary::ObserveCache::kDefaultCapacity;
-  /// Producer-side template cache (tls::population::GenCache): compiled
-  /// hello wire templates + memoized negotiation plans. Off forces the
-  /// build-from-scratch path; the RNG stream and every exported byte are
-  /// identical either way (tested across threads and fault rates), so —
-  /// like the observe-cache knob above — it is excluded from
-  /// options_digest and a checkpointed run may resume with it flipped.
-  bool gen_cache = true;
   /// Unified telemetry: collect the metrics registry and pipeline spans
   /// during run()/export_figures(). Observability only — enabling it may
   /// not change a single exported CSV byte at any thread count or fault

@@ -66,7 +66,9 @@ NegotiationResult negotiate(const tls::wire::ClientHello& hello,
 /// template-stable content (legacy_version, cipher_suites, extension
 /// bodies, session-id *emptiness*) — never through the random bytes or the
 /// session-id value, which complete_negotiation_into() fills per
-/// connection.
+/// connection, nor through a GREASE code point, which every selection
+/// skips. The *order* of cipher_suites does matter (client preference), so
+/// a hello whose suite order is drawn per connection needs its own plan.
 struct NegotiationPlan {
   /// Fully-negotiated result with server random / session id left blank.
   NegotiationResult skeleton;

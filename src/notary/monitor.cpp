@@ -129,11 +129,7 @@ void serialize_event_records(const tls::population::ConnectionEvent& event,
                              std::vector<std::uint8_t>& server,
                              std::vector<std::uint8_t>& ske,
                              std::vector<std::uint8_t>& alert) {
-  if (!event.client_record.empty()) {
-    client.assign(event.client_record.begin(), event.client_record.end());
-  } else {
-    event.hello.serialize_record_into(client);
-  }
+  client.assign(event.client_record.begin(), event.client_record.end());
   server.clear();
   ske.clear();
   alert.clear();

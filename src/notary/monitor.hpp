@@ -530,9 +530,9 @@ class PassiveMonitor {
 
 /// The one event→capture serializer: writes the records a tap would see
 /// for a generated TLS connection (not SSLv2) into the four buffers,
-/// replacing their contents. The client record is the GenCache's
-/// pre-serialized bytes when the event carries them, else the re-serialized
-/// hello; then the ServerHello, the pre-1.3 ServerKeyExchange stub that
+/// replacing their contents. The client record is the event's
+/// client_record (the generator patches it from the config's wire
+/// template, so it is never re-serialized here); then the ServerHello, the pre-1.3 ServerKeyExchange stub that
 /// carries the negotiated curve, and the alert of a failed handshake.
 /// Batch observe and the daemon's capture_from_event share it, so both
 /// ingest byte-identical streams.

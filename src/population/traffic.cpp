@@ -4,6 +4,7 @@
 #include <array>
 #include <stdexcept>
 
+#include "tlscore/grease.hpp"
 #include "wire/transcript.hpp"
 
 namespace tls::population {
@@ -190,39 +191,178 @@ const TrafficTables::MonthCache& TrafficTables::month(Month m) {
   return months_.emplace(m.index(), std::move(c)).first->second;
 }
 
+namespace {
+
+using GreaseSite = GenCache::GreaseSite;
+
+std::uint16_t site_value(const GreaseSite& g,
+                         const tls::wire::ClientHello& hello) {
+  switch (g.place) {
+    case GreaseSite::Place::kCipherSuite:
+      return hello.cipher_suites[0];
+    case GreaseSite::Place::kExtensionType:
+      return hello.extensions[g.extension].type;
+    case GreaseSite::Place::kExtensionBody: {
+      const auto& body = hello.extensions[g.extension].body;
+      return static_cast<std::uint16_t>(body[g.body_offset] << 8 |
+                                        body[g.body_offset + 1u]);
+    }
+  }
+  return 0;
+}
+
+void set_site_value(const GreaseSite& g, std::uint16_t v,
+                    tls::wire::ClientHello& hello) {
+  switch (g.place) {
+    case GreaseSite::Place::kCipherSuite:
+      hello.cipher_suites[0] = v;
+      return;
+    case GreaseSite::Place::kExtensionType:
+      hello.extensions[g.extension].type = v;
+      return;
+    case GreaseSite::Place::kExtensionBody: {
+      auto& body = hello.extensions[g.extension].body;
+      body[g.body_offset] = static_cast<std::uint8_t>(v >> 8);
+      body[g.body_offset + 1u] = static_cast<std::uint8_t>(v);
+      return;
+    }
+  }
+}
+
+void put_be16(std::vector<std::uint8_t>& wire, std::size_t at,
+              std::uint16_t v) {
+  wire.at(at) = static_cast<std::uint8_t>(v >> 8);
+  wire.at(at + 1) = static_cast<std::uint8_t>(v);
+}
+
+}  // namespace
+
 GenCache::TemplateSet GenCache::compile(const tls::clients::ClientConfig& cfg) {
   TemplateSet t;
-  t.bypass = cfg.grease || cfg.randomizes_cipher_order;
-  if (t.bypass) return t;
-  // Any seed works: the RNG-filled fields are zeroed below. The SNI host
-  // must match the one generate_into passes to make_client_hello.
+  // Any seed works: every RNG-filled field is a draw site, zeroed or reset
+  // below. The SNI host must match the one the legacy leg passes to
+  // make_client_hello.
   tls::core::Rng throwaway(0x7e3d);
-  t.base.hello = tls::clients::make_client_hello(cfg, throwaway, "host.test");
-  t.base.hello.random.fill(0);
-  std::fill(t.base.hello.session_id.begin(), t.base.hello.session_id.end(),
+  tls::wire::ClientHello& hello = t.base.hello;
+  hello = tls::clients::make_client_hello(cfg, throwaway, "host.test");
+  hello.random.fill(0);
+  std::fill(hello.session_id.begin(), hello.session_id.end(),
             static_cast<std::uint8_t>(0));
-  t.base.has_session_id = !t.base.hello.session_id.empty();
-  t.base.hello.serialize_record_into(t.base.wire);
+  t.base.has_session_id = !hello.session_id.empty();
+  t.shuffles = cfg.randomizes_cipher_order;
+  t.shuffle_begin = cfg.grease ? 1 : 0;  // the GREASE suite is not shuffled
+  if (t.shuffles) {
+    // The fill permutes the config's order, as make_client_hello does.
+    std::copy(cfg.cipher_suites.begin(), cfg.cipher_suites.end(),
+              hello.cipher_suites.begin() + t.shuffle_begin);
+  }
+  hello.serialize_record_into(t.base.wire);
+
+  // Record layout after the session id (ClientHello::write_body): the
+  // suite list's u16 length, the suites, the compression list, the
+  // extension block's u16 length, then type | u16 length | body each.
+  t.suites_offset = static_cast<std::uint32_t>(
+      kSessionIdOffset + hello.session_id.size() + 2);
+  if (cfg.grease) {
+    // make_client_hello's draw order: the suite, the list heads in
+    // extension order (between the two GREASE extensions), then the
+    // leading and trailing GREASE extensions.
+    using Place = GreaseSite::Place;
+    t.grease.push_back({Place::kCipherSuite, 0, 0, t.suites_offset});
+    const auto lead = static_cast<std::uint32_t>(
+        t.suites_offset + 2 * hello.cipher_suites.size() + 1 +
+        hello.compression_methods.size() + 2);
+    std::uint32_t off = lead;
+    const std::size_t n = hello.extensions.size();
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      const auto& e = hello.extensions[i];
+      // A list head follows the u16 (groups) or u8 (versions) list length.
+      const auto type = static_cast<tls::core::ExtensionType>(e.type);
+      const std::uint16_t head =
+          type == tls::core::ExtensionType::kSupportedGroups     ? 2
+          : type == tls::core::ExtensionType::kSupportedVersions ? 1
+                                                                 : 0;
+      if (head > 0) {
+        t.grease.push_back({Place::kExtensionBody,
+                            static_cast<std::uint16_t>(i), head,
+                            off + 4 + head});
+      }
+      off += static_cast<std::uint32_t>(4 + e.body.size());
+    }
+    t.grease.push_back({Place::kExtensionType, 0, 0, lead});
+    t.grease.push_back(
+        {Place::kExtensionType, static_cast<std::uint16_t>(n - 1), 0, off});
+  }
+
   if (!t.base.has_session_id) {
     // Empty-id configs may gain a 32-byte id on the resumption leg.
-    t.resume.hello = t.base.hello;
+    t.resume.hello = hello;
     t.resume.hello.session_id.assign(32, 0);
     t.resume.has_session_id = true;
     t.resume.hello.serialize_record_into(t.resume.wire);
     t.has_resume = true;
   }
-  // Structural sanity for the fixed patch offsets: the session-id length
-  // byte sits right before kSessionIdOffset in the codec layout.
-  const auto check = [](const WireTemplate& w) {
-    if (w.wire.size() < kSessionIdOffset ||
-        w.wire[kSessionIdOffset - 1] !=
-            static_cast<std::uint8_t>(w.hello.session_id.size())) {
-      throw std::logic_error("gen-cache template layout mismatch");
+
+  // Layout check: a fill from two seeds, patched into each variant, must
+  // equal the serialization of the filled hello — every offset above (and
+  // kRandomOffset/kSessionIdOffset) lands on its struct field.
+  for (const std::uint64_t seed : {0x5eedu, 0xc0ffeeu}) {
+    tls::core::Rng probe(seed);
+    tls::wire::ClientHello h;
+    std::vector<std::uint8_t> record;
+    draw_hello(t, probe, h);
+    patch_record(t, t.base, h, record);
+    bool ok = record == h.serialize_record();
+    if (t.has_resume) {
+      h.session_id.assign(32, static_cast<std::uint8_t>(seed));
+      patch_record(t, t.resume, h, record);
+      ok = ok && record == h.serialize_record();
     }
-  };
-  check(t.base);
-  if (t.has_resume) check(t.resume);
+    if (!ok) throw std::logic_error("gen-cache template layout mismatch");
+  }
   return t;
+}
+
+void GenCache::draw_hello(const TemplateSet& ts, tls::core::Rng& rng,
+                          tls::wire::ClientHello& hello) {
+  hello = ts.base.hello;
+  for (auto& b : hello.random) b = static_cast<std::uint8_t>(rng.next());
+  // A config with its own id (TLS 1.3 compat) draws it right after the
+  // random; that is not a resumption attempt.
+  for (auto& b : hello.session_id) b = static_cast<std::uint8_t>(rng.next());
+  if (ts.shuffles) {
+    auto& suites = hello.cipher_suites;
+    for (std::size_t i = suites.size() - ts.shuffle_begin; i > 1; --i) {
+      std::swap(suites[ts.shuffle_begin + i - 1],
+                suites[ts.shuffle_begin + rng.below(i)]);
+    }
+  }
+  for (const GreaseSite& g : ts.grease) {
+    set_site_value(g, tls::core::grease_values()[rng.below(16)], hello);
+  }
+}
+
+void GenCache::patch_record(const TemplateSet& ts, const WireTemplate& tm,
+                            const tls::wire::ClientHello& hello,
+                            std::vector<std::uint8_t>& record) {
+  record = tm.wire;
+  std::copy(hello.random.begin(), hello.random.end(),
+            record.begin() + kRandomOffset);
+  std::copy(hello.session_id.begin(), hello.session_id.end(),
+            record.begin() + kSessionIdOffset);
+  // The resume variant's 32-byte id shifts everything after it.
+  const std::size_t shift =
+      tm.hello.session_id.size() - ts.base.hello.session_id.size();
+  if (ts.shuffles) {
+    for (std::size_t i = ts.shuffle_begin; i < hello.cipher_suites.size();
+         ++i) {
+      put_be16(record, ts.suites_offset + shift + 2 * i,
+               hello.cipher_suites[i]);
+    }
+  }
+  for (const GreaseSite& g : ts.grease) {
+    put_be16(record, g.record_offset + shift, site_value(g, hello));
+  }
 }
 
 const tls::handshake::NegotiationPlan& TrafficTables::plan(
@@ -305,134 +445,97 @@ bool TrafficGenerator::generate_into(Month m, const MonthCache& cache,
     return true;
   }
 
+  connect(ei, vi, server, m, tables_->accept_unoffered_[ei] != 0, ev);
+  return true;
+}
+
+void TrafficGenerator::connect(std::size_t entry, std::size_t version,
+                               const ServerSegment& server, Month m,
+                               bool accept_unoffered_suite,
+                               ConnectionEvent& ev) {
+  tables_->ensure_templates(stats_);
+  const GenCache::TemplateSet& ts =
+      *tables_->template_sets_.at(entry).at(version);
+  const tls::clients::ClientConfig& config =
+      market_.entries()[entry].profile->versions[version];
   tls::handshake::NegotiateOptions opts;
-  opts.accept_unoffered_suite = tables_->accept_unoffered_[ei] != 0;
+  opts.accept_unoffered_suite = accept_unoffered_suite;
+  ++stats_.template_hits;
+  // The template working set (~1.6k scattered templates) misses cache on
+  // nearly every pick; start the loads now so they overlap each other and
+  // the RNG draws below instead of stalling each copy in turn.
+  __builtin_prefetch(ts.base.wire.data());
+  __builtin_prefetch(ts.base.hello.cipher_suites.data());
+  __builtin_prefetch(ts.base.hello.extensions.data());
+  if (ts.has_resume) __builtin_prefetch(ts.resume.wire.data());
 
-  const GenCache::TemplateSet* ts =
-      gen_cache_enabled_ ? tables_->template_sets_[ei][vi] : nullptr;
-  if (ts != nullptr && !ts->bypass) {
-    // ---- template fast path: memcpy + patch, identical RNG stream ----
-    ++stats_.template_hits;
-    // The template working set (~1k scattered templates) misses cache on
-    // nearly every pick; start the loads now so they overlap the 32-96
-    // RNG draws below instead of stalling the copies.
-    __builtin_prefetch(ts->base.wire.data());
-    __builtin_prefetch(ts->base.hello.cipher_suites.data());
-    __builtin_prefetch(ts->base.hello.extensions.data());
-    if (ts->has_resume) __builtin_prefetch(ts->resume.wire.data());
-    std::array<std::uint8_t, 32> random;
-    for (auto& b : random) b = static_cast<std::uint8_t>(rng_.next());
-    const GenCache::WireTemplate* tm = &ts->base;
-    std::array<std::uint8_t, 32> sid;
-    bool have_sid = false;
-    if (ts->base.has_session_id) {
-      // The config emits its own id (TLS 1.3 compat), drawn right after
-      // the random inside make_client_hello; not a resumption attempt.
-      for (auto& b : sid) b = static_cast<std::uint8_t>(rng_.next());
-      have_sid = true;
-    } else if (rng_.chance(0.33)) {
-      // Roughly a third of revisits re-present a session id (clients that
-      // keep session caches; pre-1.3 only).
-      for (auto& b : sid) b = static_cast<std::uint8_t>(rng_.next());
-      tm = &ts->resume;
-      have_sid = true;
-      opts.attempt_resumption = true;
-    }
-    ev.hello = tm->hello;
-    ev.hello.random = random;
-    ev.client_record = tm->wire;
-    std::copy(random.begin(), random.end(),
-              ev.client_record.begin() + GenCache::kRandomOffset);
-    if (have_sid) {
-      ev.hello.session_id.assign(sid.begin(), sid.end());
-      std::copy(sid.begin(), sid.end(),
-                ev.client_record.begin() + GenCache::kSessionIdOffset);
-    }
-
-    const auto seg_index =
-        static_cast<std::uint64_t>(&server - servers_.segments().data());
-    // Dense memo key: (template, segment) pairs are contiguous so the plan
-    // cache can be a direct-indexed cache. Low 4 bits = variant flags.
-    std::uint64_t key =
-        (static_cast<std::uint64_t>(ts->id) * servers_.segments().size() +
-         seg_index)
-        << 4;
-    if (tm == &ts->resume) key |= 1u;
-    if (opts.accept_unoffered_suite) key |= 2u;
-    {
-      const auto& plan =
-          tables_->plan(key, ev.hello, server.config, opts, stats_);
-      tls::handshake::complete_negotiation_into(plan, ev.hello, rng_,
-                                                ev.result);
-    }
-    if (!ev.result.success &&
-        ev.result.failure ==
-            tls::handshake::FailureReason::kNoCommonVersion &&
-        pick.config->version_fallback &&
-        server.config.max_version < ev.hello.legacy_version &&
-        server.config.max_version >= pick.config->min_version) {
-      ev.hello.legacy_version = server.config.max_version;
-      const bool scsv = m >= Month(2015, 4);  // RFC 7507 deployment
-      if (scsv) {
-        ev.hello.cipher_suites.push_back(tls::core::suites::TLS_FALLBACK_SCSV);
-      }
-      // The SCSV (and version patch) change the record bytes; the fallback
-      // leg is rare enough that a re-serialize beats splicing the buffer.
-      ev.hello.serialize_record_into(ev.client_record);
-      key |= 4u | (scsv ? 8u : 0u);
-      const auto& fplan =
-          tables_->plan(key, ev.hello, server.config, opts, stats_);
-      tls::handshake::complete_negotiation_into(fplan, ev.hello, rng_,
-                                                ev.result);
-      ev.used_fallback = true;
-    }
-    return true;
-  }
-  if (ts != nullptr) ++stats_.bypasses;
-
-  ev.client_record.clear();
-  ev.hello = tls::clients::make_client_hello(*pick.config, rng_, "host.test");
-
-  // Roughly a third of revisits re-present a session id (clients that keep
-  // session caches; pre-1.3 only — 1.3-capable stacks already send one).
-  if (ev.hello.session_id.empty() && rng_.chance(0.33)) {
+  GenCache::draw_hello(ts, rng_, ev.hello);
+  const GenCache::WireTemplate* tm = &ts.base;
+  if (!ts.base.has_session_id && rng_.chance(0.33)) {
+    // Roughly a third of revisits re-present a session id (clients that
+    // keep session caches; pre-1.3 only).
     ev.hello.session_id.resize(32);
     for (auto& b : ev.hello.session_id) {
       b = static_cast<std::uint8_t>(rng_.next());
     }
+    tm = &ts.resume;
     opts.attempt_resumption = true;
-  } else if (!ev.hello.session_id.empty()) {
-    opts.attempt_resumption = false;  // TLS 1.3 compat id, not a cache hit
   }
-  ev.result = tls::handshake::negotiate(ev.hello, server.config, rng_, opts);
+  GenCache::patch_record(ts, *tm, ev.hello, ev.client_record);
+
+  // ---- negotiation ----
+  // GREASE templates share one memoized plan per key: plan_negotiation
+  // never reads a GREASE code point. A shuffled hello's suite choice
+  // depends on its permutation under client preference, so it is planned
+  // per connection and never touches the memo.
+  const auto seg_index =
+      static_cast<std::uint64_t>(&server - servers_.segments().data());
+  // Dense memo key: (template, segment) pairs are contiguous so the plan
+  // cache can be a direct-indexed cache. Low 4 bits = variant flags.
+  std::uint64_t key =
+      (static_cast<std::uint64_t>(ts.id) * servers_.segments().size() +
+       seg_index)
+      << 4;
+  if (tm == &ts.resume) key |= 1u;
+  if (opts.accept_unoffered_suite) key |= 2u;
+  const auto plan = [&]() -> const tls::handshake::NegotiationPlan& {
+    if (!ts.shuffles) {
+      return tables_->plan(key, ev.hello, server.config, opts, stats_);
+    }
+    ++stats_.plan_misses;
+    own_plan_ = tls::handshake::plan_negotiation(ev.hello, server.config, opts);
+    return own_plan_;
+  };
+  tls::handshake::complete_negotiation_into(plan(), ev.hello, rng_,
+                                            ev.result);
+  ev.used_fallback = false;
 
   // The downgrade dance: clients that still perform insecure fallback
   // retry with a lower version field (adding TLS_FALLBACK_SCSV once it
   // existed) when the first attempt fails on version mismatch.
   if (!ev.result.success &&
       ev.result.failure == tls::handshake::FailureReason::kNoCommonVersion &&
-      pick.config->version_fallback &&
+      config.version_fallback &&
       server.config.max_version < ev.hello.legacy_version &&
-      server.config.max_version >= pick.config->min_version) {
+      server.config.max_version >= config.min_version) {
     ev.hello.legacy_version = server.config.max_version;
-    if (m >= Month(2015, 4)) {  // RFC 7507 deployment
-      ev.hello.cipher_suites.push_back(
-          tls::core::suites::TLS_FALLBACK_SCSV);
+    const bool scsv = m >= Month(2015, 4);  // RFC 7507 deployment
+    if (scsv) {
+      ev.hello.cipher_suites.push_back(tls::core::suites::TLS_FALLBACK_SCSV);
     }
-    ev.result = tls::handshake::negotiate(ev.hello, server.config, rng_, opts);
+    // The SCSV (and version patch) change the record bytes; the fallback
+    // leg is rare enough that a re-serialize beats splicing the buffer.
+    ev.hello.serialize_record_into(ev.client_record);
+    key |= 4u | (scsv ? 8u : 0u);
+    tls::handshake::complete_negotiation_into(plan(), ev.hello, rng_,
+                                              ev.result);
     ev.used_fallback = true;
   }
-  return true;
-}
-
-const TrafficTables::MonthCache& TrafficGenerator::prepare(Month m) {
-  if (gen_cache_enabled_) tables_->ensure_templates(stats_);
-  return tables_->month(m);
 }
 
 void TrafficGenerator::generate_month(Month m, std::size_t count,
                                       const Sink& sink) {
-  const MonthCache& cache = prepare(m);
+  const MonthCache& cache = tables_->month(m);
   for (std::size_t i = 0; i < count; ++i) {
     ConnectionEvent ev;
     if (generate_into(m, cache, ev)) sink(ev);
@@ -444,7 +547,7 @@ void TrafficGenerator::generate_month_batched(Month m, std::size_t count,
                                               const SpanSink& sink) {
   if (batch_size == 0) batch_size = 1;
   if (batch_.size() < batch_size) batch_.resize(batch_size);
-  const MonthCache& cache = prepare(m);
+  const MonthCache& cache = tables_->month(m);
   std::size_t filled = 0;
   for (std::size_t i = 0; i < count; ++i) {
     ConnectionEvent& ev = batch_[filled];

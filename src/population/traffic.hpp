@@ -32,11 +32,9 @@ struct ConnectionEvent {
   const tls::servers::ServerSegment* server = nullptr;
   tls::wire::ClientHello hello;  // the hello actually sent (post-fallback)
   tls::handshake::NegotiationResult result;
-  /// Pre-serialized TLS record bytes of `hello`, filled by the GenCache
-  /// template fast path (empty when the cache is off or the config takes
-  /// the legacy path). When non-empty these are byte-identical to
-  /// `hello.serialize_record()`; the passive monitor consumes them instead
-  /// of re-serializing.
+  /// Serialized TLS record bytes of `hello` (== hello.serialize_record()),
+  /// patched from the config's wire template; set on every non-SSLv2
+  /// event. The passive monitor ingests these bytes as the tap's capture.
   std::vector<std::uint8_t> client_record;
   bool used_fallback = false;
   bool sslv2 = false;  // SSLv2 CLIENT-HELLO connection (hello is not set)
@@ -64,18 +62,15 @@ struct ConnectionFlights {
 };
 ConnectionFlights synthesize_flights(const ConnectionEvent& event);
 
-/// Producer-side template cache (the ObserveCache philosophy applied to
-/// generation). Each live ClientConfig is compiled once into a **wire
-/// template** — the ClientHello struct plus its serialized record bytes
-/// with the RNG-filled fields zeroed — so a connection becomes a memcpy
-/// plus patches at fixed offsets instead of a rebuild + reserialize.
-/// Negotiation is memoized as NegotiationPlans keyed on (template,
-/// variant, server segment, options, fallback/SCSV branch); completion
-/// draws the identical RNG sequence per connection, so the event stream is
-/// bit-exact with the cache off. Configs whose hello is not
-/// connection-invariant (GREASE, cipher-order shuffling) are flagged
-/// `bypass` and take the legacy path. The compiled templates and the plan
-/// memo live in TrafficTables; this class holds their types.
+/// Producer-side template cache. Each ClientConfig compiles once into a
+/// **wire template** — the ClientHello struct and its record bytes, with
+/// every field the RNG fills per connection recorded as a *draw site* — so
+/// a connection is a copy plus patches, drawing exactly the RNG sequence
+/// of the legacy build-every-hello leg (the oracle in
+/// tests/test_traffic.cpp). Negotiation plans are memoized per (template,
+/// variant, segment, options, fallback/SCSV branch), except for
+/// cipher-order shuffling templates, planned per connection (DESIGN.md
+/// §15). The templates and the memo live in TrafficTables.
 class GenCache {
  public:
   /// Fixed offsets of the RNG-patched fields inside a serialized
@@ -85,38 +80,75 @@ class GenCache {
   /// template-patch fuzzer in tests/test_fuzz.cpp.
   static constexpr std::size_t kRandomOffset = 11;
   static constexpr std::size_t kSessionIdOffset = 44;
+  /// A 16-bit GREASE value the fill draws: its place in the hello struct
+  /// and its big-endian record offset (the base variant's; the resume
+  /// variant's 32-byte session id adds 32). A GREASE hello has up to five:
+  /// suite 0, the supported_groups and supported_versions heads, and the
+  /// types of the leading and trailing GREASE extensions.
+  struct GreaseSite {
+    enum class Place : std::uint8_t {
+      kCipherSuite,     // hello.cipher_suites[0]
+      kExtensionType,   // hello.extensions[extension].type
+      kExtensionBody,   // hello.extensions[extension].body[body_offset..+2)
+    };
+    Place place = Place::kCipherSuite;
+    std::uint16_t extension = 0;
+    std::uint16_t body_offset = 0;
+    std::uint32_t record_offset = 0;
+  };
 
   struct WireTemplate {
-    tls::wire::ClientHello hello;     // random (and session id) zeroed
+    /// Random and session id zeroed, shuffled suites in config order,
+    /// GREASE sites holding compile-time draws; the fill rewrites them all.
+    tls::wire::ClientHello hello;
     std::vector<std::uint8_t> wire;   // == hello.serialize_record()
     bool has_session_id = false;
   };
   struct TemplateSet {
-    bool bypass = false;  // GREASE / shuffling: hello varies per connection
     std::uint32_t id = 0;
     WireTemplate base;
     /// base + a 32-byte session-id slot, for empty-id configs that draw
     /// the resumption leg (pre-1.3 session-cache re-presentation).
     WireTemplate resume;
     bool has_resume = false;
+    /// Cipher-order shuffling: the fill permutes cipher_suites from
+    /// shuffle_begin on (config order in the template) and rewrites them at
+    /// suites_offset + 2 * index in the record.
+    bool shuffles = false;
+    std::uint32_t shuffle_begin = 0;
+    std::uint32_t suites_offset = 0;  // record offset of cipher_suites[0]
+    /// GREASE draw sites in make_client_hello's draw order.
+    std::vector<GreaseSite> grease;
   };
-  /// One generator's activity. template_hits and bypasses count its
-  /// connections; template_misses/template_bytes count the compilations
-  /// it ran and plan_misses the plans it computed, so a generator that
-  /// shares its tables with others sees the misses another already paid
-  /// for as hits (or not at all, for templates).
+  /// One generator's activity: template_hits counts its connections,
+  /// the rest the compilations and plans it computed itself (plan_misses
+  /// includes shuffling templates' per-connection plans), so a generator
+  /// on shared tables sees misses another paid for as hits.
   struct Stats {
     std::uint64_t template_hits = 0;    // connections filled from a template
     std::uint64_t template_misses = 0;  // template compilations
-    std::uint64_t bypasses = 0;         // connections on the legacy path
     std::uint64_t plan_hits = 0;        // memoized negotiation plans reused
     std::uint64_t plan_misses = 0;      // plans computed
     std::uint64_t template_bytes = 0;   // compiled wire bytes resident
   };
 
   /// Compiles `cfg` into its template set (exposed for the differential
-  /// fuzzer; TrafficTables compiles every catalog config once).
+  /// fuzzer; TrafficTables compiles every catalog config once). Throws
+  /// std::logic_error if the record layout disagrees with a draw site.
   static TemplateSet compile(const tls::clients::ClientConfig& cfg);
+
+  /// One connection's hello: copies the base template's struct into
+  /// `hello` and draws make_client_hello's RNG sequence into it (random,
+  /// the config's own session id, cipher-order shuffle, GREASE values), so
+  /// `hello` equals make_client_hello(cfg, rng, "host.test").
+  static void draw_hello(const TemplateSet& ts, tls::core::Rng& rng,
+                         tls::wire::ClientHello& hello);
+  /// The record of `hello`, a fill of `ts` whose session id is `tm`'s
+  /// length: copies tm's wire bytes into `record` and patches the random,
+  /// the session id, the shuffled suites and the GREASE sites.
+  static void patch_record(const TemplateSet& ts, const WireTemplate& tm,
+                           const tls::wire::ClientHello& hello,
+                           std::vector<std::uint8_t>& record);
 };
 
 /// The traffic model's tables: everything a TrafficGenerator derives from
@@ -180,9 +212,10 @@ class TrafficTables {
   /// generators call it once per generate_month* call, not per connection.
   const MonthCache& month(tls::core::Month m);
 
-  /// Compiles every catalog config's template set once (std::call_once),
-  /// so the per-connection path is a plain array deref. The compilations
-  /// are booked into `stats` of the caller that runs them.
+  /// Compiles every catalog config's template set once (std::call_once);
+  /// afterwards a call is one once-flag check and the template lookup two
+  /// array indexes. The compilations are booked into `stats` of the
+  /// caller that runs them.
   void ensure_templates(GenCache::Stats& stats);
 
   /// Memoized plan_negotiation. `key` must uniquely encode every input the
@@ -211,7 +244,7 @@ class TrafficTables {
   /// Written once inside templates_once_, read-only afterwards.
   std::unordered_map<const tls::clients::ClientConfig*, GenCache::TemplateSet>
       templates_;
-  /// template_sets_[entry][version] -> templates_ entry, so the fast path
+  /// template_sets_[entry][version] -> templates_ entry, so connect()
   /// replaces a config-pointer hash lookup with two array indexes.
   std::vector<std::vector<const GenCache::TemplateSet*>> template_sets_;
 
@@ -263,11 +296,16 @@ class TrafficGenerator {
   /// worker across shard tasks.
   void reseed(std::uint64_t seed) { rng_ = tls::core::Rng(seed); }
 
-  /// Toggles the GenCache template fast path (on by default). Off and on
-  /// draw the same RNG stream and emit field-identical events — the toggle
-  /// exists for benchmarking and for the byte-identity test matrix.
-  void set_gen_cache(bool enabled) { gen_cache_enabled_ = enabled; }
-  [[nodiscard]] bool gen_cache_enabled() const { return gen_cache_enabled_; }
+  /// The hello leg of one connection, as generate_month runs it after
+  /// sampling: config `version` of market entry `entry` connects to
+  /// `server` (a segment of the tables' ServerPopulation) in month m.
+  /// Fills ev.hello, ev.client_record, ev.result and ev.used_fallback from
+  /// the generator's RNG stream. Lets tests drive every (config, segment)
+  /// pair against the legacy oracle.
+  void connect(std::size_t entry, std::size_t version,
+               const tls::servers::ServerSegment& server, tls::core::Month m,
+               bool accept_unoffered_suite, ConnectionEvent& ev);
+
   [[nodiscard]] const GenCache::Stats& gen_cache_stats() const {
     return stats_;
   }
@@ -283,9 +321,6 @@ class TrafficGenerator {
   /// m, fetched once by the per-month loops.
   bool generate_into(tls::core::Month m, const MonthCache& cache,
                      ConnectionEvent& ev);
-  /// Per-call set-up of the generate_month* loops: the template table (when
-  /// the gen cache is on) and the tables of month m.
-  const MonthCache& prepare(tls::core::Month m);
 
   std::shared_ptr<TrafficTables> tables_;
   const MarketModel& market_;
@@ -293,7 +328,8 @@ class TrafficGenerator {
   tls::core::Rng rng_;
   std::vector<ConnectionEvent> batch_;  // reused by generate_month_batched
   GenCache::Stats stats_;
-  bool gen_cache_enabled_ = true;
+  /// The per-connection plan of a shuffling template (never memoized).
+  tls::handshake::NegotiationPlan own_plan_;
 };
 
 }  // namespace tls::population

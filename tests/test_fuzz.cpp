@@ -629,57 +629,56 @@ TEST(Fuzz, Md5ForcedScalarDispatchStaysExercised) {
 }
 
 TEST(Fuzz, GenCacheTemplatePatchMatchesFromScratchSerialization) {
-  // The GenCache fast path rests on one invariant: splicing the 32-byte
-  // random (and, when present, a 32-byte session id) into the compiled
-  // record bytes at the fixed offsets yields exactly serialize_record() of
-  // the identically patched hello. Fuzz it over every standard-catalog
-  // config × RNG states, base and resume variants.
+  // The template path rests on one invariant: a fill from seed s —
+  // draw_hello's draws into the template struct, patch_record's splices
+  // into the compiled record — equals make_client_hello(cfg, Rng(s)),
+  // struct and bytes. Fuzz it over every standard-catalog config (GREASE
+  // and cipher-order shuffling included) x seeds, base and resume
+  // variants.
   using tls::population::GenCache;
   const auto catalog = tls::clients::Catalog::standard();
-  tls::core::Rng rng(0x7e3a11);
-  std::size_t patched = 0, bypassed = 0;
+  std::size_t patched = 0, grease_patched = 0, shuffled_patched = 0;
+  std::uint64_t seed = 0x7e3a11;
   for (const auto& profile : catalog.profiles()) {
     for (const auto& cfg : profile.versions) {
       const GenCache::TemplateSet ts = GenCache::compile(cfg);
-      if (ts.bypass) {
-        // Only connection-variant hellos may skip the template path.
-        EXPECT_TRUE(cfg.grease || cfg.randomizes_cipher_order) << profile.name;
-        ++bypassed;
-        continue;
-      }
       ASSERT_EQ(ts.base.wire, ts.base.hello.serialize_record());
       if (ts.base.has_session_id) {
-        // generate_into patches exactly 32 id bytes; any other emitted
-        // length would corrupt the record.
+        // The fill patches exactly 32 id bytes; any other emitted length
+        // would corrupt the record.
         ASSERT_EQ(ts.base.hello.session_id.size(), 32u) << profile.name;
       }
-      const auto patch_and_check = [&](const GenCache::WireTemplate& tm) {
-        auto hello = tm.hello;
-        auto wire = tm.wire;
-        ASSERT_LE(GenCache::kRandomOffset + 32, wire.size());
-        for (auto& b : hello.random) b = static_cast<std::uint8_t>(rng.next());
-        std::copy(hello.random.begin(), hello.random.end(),
-                  wire.begin() + GenCache::kRandomOffset);
-        if (tm.has_session_id) {
-          ASSERT_LE(GenCache::kSessionIdOffset + 32, wire.size());
+      ASSERT_EQ(ts.shuffles, cfg.randomizes_cipher_order) << profile.name;
+      ASSERT_EQ(!ts.grease.empty(), cfg.grease) << profile.name;
+      for (int iter = 0; iter < 8; ++iter, ++seed) {
+        tls::core::Rng fill_rng(seed);
+        tls::core::Rng scratch_rng(seed);
+        tls::wire::ClientHello hello;
+        GenCache::draw_hello(ts, fill_rng, hello);
+        ASSERT_TRUE(hello == tls::clients::make_client_hello(
+                                 cfg, scratch_rng, "host.test"))
+            << profile.name << " seed " << seed;
+        ASSERT_EQ(fill_rng.next(), scratch_rng.next()) << profile.name;
+        std::vector<std::uint8_t> wire;
+        GenCache::patch_record(ts, ts.base, hello, wire);
+        ASSERT_EQ(wire, hello.serialize_record()) << profile.name;
+        if (ts.has_resume) {
           hello.session_id.resize(32);
           for (auto& b : hello.session_id) {
-            b = static_cast<std::uint8_t>(rng.next());
+            b = static_cast<std::uint8_t>(fill_rng.next());
           }
-          std::copy(hello.session_id.begin(), hello.session_id.end(),
-                    wire.begin() + GenCache::kSessionIdOffset);
+          GenCache::patch_record(ts, ts.resume, hello, wire);
+          ASSERT_EQ(wire, hello.serialize_record()) << profile.name;
         }
-        ASSERT_EQ(wire, hello.serialize_record()) << profile.name;
         ++patched;
-      };
-      for (int iter = 0; iter < 8; ++iter) {
-        patch_and_check(ts.base);
-        if (ts.has_resume) patch_and_check(ts.resume);
+        grease_patched += cfg.grease ? 1 : 0;
+        shuffled_patched += cfg.randomizes_cipher_order ? 1 : 0;
       }
     }
   }
   EXPECT_GT(patched, 1000u);
-  EXPECT_GT(bypassed, 0u);  // the standard catalog has GREASE configs
+  EXPECT_GT(grease_patched, 0u);    // the standard catalog has GREASE
+  EXPECT_GT(shuffled_patched, 0u);  // ... and cipher-order shuffling configs
 }
 
 // ---- daemon wire protocol (src/daemon/protocol.hpp) ---------------------

@@ -182,71 +182,6 @@ TEST(ParallelStudy, ExportedFilesByteIdenticalCacheOnVsOff) {
   fs::remove_all(base);
 }
 
-TEST(ParallelStudy, GenCacheOnOffByteIdenticalAcrossThreadsAndFaults) {
-  // The producer-side GenCache (hello wire templates + negotiation memo)
-  // must be a pure accelerator: identical RNG stream, identical events,
-  // identical figures — at every thread count, with and without fault
-  // injection. Reference: gen-cache off, serial.
-  for (const double fault_rate : {0.0, 0.10}) {
-    SCOPED_TRACE(fault_rate);
-    auto base = small_options();
-    base.connections_per_month = 800;
-    if (fault_rate > 0) {
-      base.faults = tls::faults::FaultConfig::uniform(fault_rate);
-    }
-    auto ref_opts = base;
-    ref_opts.gen_cache = false;
-    tls::study::LongitudinalStudy ref(ref_opts);
-    const auto ref_csv = chart_csv(ref);
-
-    for (const unsigned threads : {0u, 1u, 8u}) {
-      for (const bool gen_on : {false, true}) {
-        SCOPED_TRACE(std::to_string(threads) +
-                     (gen_on ? " gen-cache-on" : " gen-cache-off"));
-        auto o = base;
-        o.threads = threads;
-        o.gen_cache = gen_on;
-        tls::study::LongitudinalStudy study(o);
-        EXPECT_EQ(chart_csv(study), ref_csv);
-        expect_monitors_equal(ref.monitor(), study.monitor());
-      }
-    }
-  }
-}
-
-TEST(ParallelStudy, ExportedFilesByteIdenticalGenCacheOnVsOff) {
-  // Full 11-file export matrix: gen-cache on at threads {0, 1, 8} against
-  // a gen-cache-off serial reference, every file byte-identical.
-  namespace fs = std::filesystem;
-  const fs::path base = fs::path(::testing::TempDir()) / "tls_gencache_csv";
-  fs::remove_all(base);
-
-  auto opts = small_options();
-  opts.connections_per_month = 600;
-  auto off_opts = opts;
-  off_opts.gen_cache = false;
-  tls::study::LongitudinalStudy off(off_opts);
-  const auto off_files = off.export_figures((base / "off").string());
-  ASSERT_EQ(off_files.size(), 11u);  // 10 figures + the active-scan series
-
-  for (const unsigned threads : {0u, 1u, 8u}) {
-    SCOPED_TRACE(threads);
-    auto on_opts = opts;
-    on_opts.gen_cache = true;
-    on_opts.threads = threads;
-    tls::study::LongitudinalStudy on(on_opts);
-    const auto on_files =
-        on.export_figures((base / ("on" + std::to_string(threads))).string());
-    ASSERT_EQ(on_files.size(), off_files.size());
-    for (std::size_t i = 0; i < off_files.size(); ++i) {
-      const auto expected = slurp(off_files[i]);
-      ASSERT_FALSE(expected.empty()) << off_files[i];
-      EXPECT_EQ(slurp(on_files[i]), expected) << on_files[i];
-    }
-  }
-  fs::remove_all(base);
-}
-
 TEST(ParallelStudy, ExportedCsvFilesByteIdenticalAndRoundTrip) {
   namespace fs = std::filesystem;
   const fs::path base = fs::path(::testing::TempDir()) / "tls_parallel_csv";
